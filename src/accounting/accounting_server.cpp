@@ -268,8 +268,8 @@ void AccountingServer::open_account(const std::string& local_name,
                                     const PrincipalName& owner,
                                     Balances initial) {
   std::lock_guard lock(state_mutex_);
-  AccountOpenRecord record{local_name, owner, initial};
-  open_account_(local_name, owner, std::move(initial));
+  const AccountOpenRecord record{local_name, owner, std::move(initial)};
+  open_account_(record.name, record.owner, record.initial);
   // Setup API: a journal failure here marks the server storage-dead (it
   // will refuse all requests), which is all a void API can do.
   (void)journal_append_(JournalRecordType::kAccountOpen, record);
@@ -427,22 +427,11 @@ util::Status AccountingServer::restore_(const crypto::SymmetricKey& key,
       crypto::aead_open(key.derive_subkey(kSnapshotSealPurpose), snapshot));
   wire::Decoder dec(plain);
   const std::string version = dec.str();
-  if (version != "accounting-snapshot-v2" &&
-      version != "accounting-snapshot-v3" &&
-      version != "accounting-snapshot-v4" &&
-      version != "accounting-snapshot-v5" &&
-      version != "accounting-snapshot-v6") {
+  if (version != "accounting-snapshot-v6") {
     return util::fail(ErrorCode::kParseError,
                       "not an accounting snapshot (unknown version '" +
                           version + "')");
   }
-  const bool has_routes = version != "accounting-snapshot-v2";
-  const bool has_revocation = version == "accounting-snapshot-v4" ||
-                              version == "accounting-snapshot-v5" ||
-                              version == "accounting-snapshot-v6";
-  const bool has_migration = version == "accounting-snapshot-v5" ||
-                             version == "accounting-snapshot-v6";
-  const bool has_failover = version == "accounting-snapshot-v6";
   const std::string server = dec.str();
   if (server != expected_server) {
     return util::fail(ErrorCode::kProtocolError,
@@ -495,41 +484,33 @@ util::Status AccountingServer::restore_(const crypto::SymmetricKey& key,
   DedupTable deposits = decode_dedup();
   DedupTable certifies = decode_dedup();
   std::map<PrincipalName, PrincipalName> routes;
-  if (has_routes) {
-    const std::uint32_t route_count = dec.u32();
-    for (std::uint32_t i = 0; i < route_count && dec.ok(); ++i) {
-      const PrincipalName drawee = dec.str();
-      const PrincipalName via = dec.str();
-      routes[drawee] = via;
-    }
+  const std::uint32_t route_count = dec.u32();
+  for (std::uint32_t i = 0; i < route_count && dec.ok(); ++i) {
+    const PrincipalName drawee = dec.str();
+    routes[drawee] = dec.str();
   }
-  util::Bytes revocation_state;
-  if (has_revocation) revocation_state = dec.bytes();
+  const util::Bytes revocation_state = dec.bytes();
   std::map<std::uint64_t, MigrationSpec> frozen;
+  const std::uint32_t frozen_count = dec.u32();
+  for (std::uint32_t i = 0; i < frozen_count && dec.ok(); ++i) {
+    MigrationSpec spec = MigrationSpec::decode(dec);
+    frozen[spec.migration_id] = std::move(spec);
+  }
   std::set<std::uint64_t> applied_migrations;
-  if (has_migration) {
-    const std::uint32_t frozen_count = dec.u32();
-    for (std::uint32_t i = 0; i < frozen_count && dec.ok(); ++i) {
-      MigrationSpec spec = MigrationSpec::decode(dec);
-      frozen[spec.migration_id] = std::move(spec);
-    }
-    const std::uint32_t applied_count = dec.u32();
-    for (std::uint32_t i = 0; i < applied_count && dec.ok(); ++i) {
-      applied_migrations.insert(dec.u64());
-    }
+  const std::uint32_t applied_count = dec.u32();
+  for (std::uint32_t i = 0; i < applied_count && dec.ok(); ++i) {
+    applied_migrations.insert(dec.u64());
   }
   std::set<PrincipalName> adopted;
+  const std::uint32_t adopted_count = dec.u32();
+  for (std::uint32_t i = 0; i < adopted_count && dec.ok(); ++i) {
+    adopted.insert(dec.str());
+  }
   std::map<PrincipalName, std::uint64_t> watermarks;
-  if (has_failover) {
-    const std::uint32_t adopted_count = dec.u32();
-    for (std::uint32_t i = 0; i < adopted_count && dec.ok(); ++i) {
-      adopted.insert(dec.str());
-    }
-    const std::uint32_t mark_count = dec.u32();
-    for (std::uint32_t i = 0; i < mark_count && dec.ok(); ++i) {
-      const PrincipalName source = dec.str();
-      watermarks[source] = dec.u64();
-    }
+  const std::uint32_t mark_count = dec.u32();
+  for (std::uint32_t i = 0; i < mark_count && dec.ok(); ++i) {
+    const PrincipalName source = dec.str();
+    watermarks[source] = dec.u64();
   }
   RPROXY_RETURN_IF_ERROR(dec.finish());
 
@@ -547,12 +528,9 @@ util::Status AccountingServer::restore_(const crypto::SymmetricKey& key,
   certified_ = std::move(certified);
   completed_deposits_ = std::move(deposits);
   completed_certifies_ = std::move(certifies);
-  // A v2 snapshot says nothing about routes; leave them as configured.
-  if (has_routes) routes_ = std::move(routes);
-  // Pre-v5 snapshots predate sharding: no freezes, nothing imported.
+  routes_ = std::move(routes);
   frozen_ = std::move(frozen);
   applied_migrations_ = std::move(applied_migrations);
-  // Pre-v6 snapshots predate failover: nothing adopted, no watermarks.
   adopted_identities_ = std::move(adopted);
   repl_watermarks_ = std::move(watermarks);
   return util::Status::ok();
@@ -901,7 +879,7 @@ util::Status AccountingServer::apply_replicated(
   wrapper.inner_payload = inner.payload;
 
   const util::TimePoint now = config_.clock->now();
-  std::uint64_t pending = 0;
+  t_uncommitted_lsn = 0;  // same residue guard as handle()
   {
     // ONE lock hold covers effect + journal + watermark: a concurrent
     // snapshot can never observe the effect without the watermark that
@@ -919,29 +897,13 @@ util::Status AccountingServer::apply_replicated(
     // Standbys with their own storage re-journal effect + watermark as one
     // kReplApply frame, so a promoted replica is itself durable AND a
     // restarted one knows where to resume (its LSN space is local).
-    if (log_.has_value() && !storage_dead_.load()) {
-      util::Result<std::uint64_t> lsn =
-          log_->append(static_cast<std::uint16_t>(JournalRecordType::kReplApply),
-                       wire::encode_to_bytes(wrapper));
-      if (!lsn.is_ok()) {
-        storage_dead_.store(true);
-        return lsn.status();
-      }
-      if (config_.fsync_policy == storage::FsyncPolicy::kGroup) {
-        pending = lsn.value();
-      }
+    if (!storage_dead_.load()) {
+      RPROXY_RETURN_IF_ERROR(
+          journal_append_(JournalRecordType::kReplApply, wrapper));
     }
   }
-  if (pending != 0) {
-    // Same barrier as handle(): commit outside state_mutex_ (log_ is
-    // engaged by recover() before replication starts and stable after).
-    const util::Status committed = log_->commit(pending);
-    if (!committed.is_ok()) {
-      storage_dead_.store(true);
-      return committed;
-    }
-  }
-  return util::Status::ok();
+  // Same barrier as handle(): commit outside state_mutex_.
+  return commit_pending_();
 }
 
 std::uint64_t AccountingServer::replication_watermark(
@@ -957,9 +919,10 @@ util::Status AccountingServer::adopt_identity(const PrincipalName& name) {
     if (adopted_identities_.contains(name) || name == config_.name) {
       return util::Status::ok();
     }
-    adopted_identities_.insert(name);
-    RPROXY_RETURN_IF_ERROR(journal_append_(JournalRecordType::kIdentityAdopt,
-                                           IdentityAdoptRecord{name}));
+    const IdentityAdoptRecord record{name};
+    apply_adopt_(record);
+    RPROXY_RETURN_IF_ERROR(
+        journal_append_(JournalRecordType::kIdentityAdopt, record));
   }
   return commit_pending_();
 }
@@ -1005,7 +968,7 @@ util::Status AccountingServer::apply_record_locked_(
     case JournalRecordType::kRouteSet: {
       const RouteSetRecord rec = RouteSetRecord::decode(dec);
       RPROXY_RETURN_IF_ERROR(dec.finish());
-      routes_[rec.drawee] = rec.via;
+      apply_route_(rec);
       return util::Status::ok();
     }
     case JournalRecordType::kTransfer: {
@@ -1043,9 +1006,9 @@ util::Status AccountingServer::apply_record_locked_(
       return util::Status::ok();
     }
     case JournalRecordType::kMigrateFreeze: {
-      MigrationSpec spec = MigrationSpec::decode(dec);
+      const MigrationSpec spec = MigrationSpec::decode(dec);
       RPROXY_RETURN_IF_ERROR(dec.finish());
-      frozen_[spec.migration_id] = std::move(spec);
+      apply_freeze_(spec);
       return util::Status::ok();
     }
     case JournalRecordType::kMigrateIn: {
@@ -1089,7 +1052,7 @@ util::Status AccountingServer::apply_record_locked_(
     case JournalRecordType::kIdentityAdopt: {
       const IdentityAdoptRecord rec = IdentityAdoptRecord::decode(dec);
       RPROXY_RETURN_IF_ERROR(dec.finish());
-      adopted_identities_.insert(rec.name);
+      apply_adopt_(rec);
       return util::Status::ok();
     }
   }
@@ -1194,18 +1157,27 @@ util::Status AccountingServer::apply_foreign_(const ForeignSettledRecord& rec,
 
 util::Status AccountingServer::apply_cashier_(const CashierRecord& rec) {
   Account* acct = find_account_(rec.account);
-  if (acct == nullptr) {
+  Account* cashier = find_account_(std::string(kCashierAccount));
+  if (acct == nullptr || cashier == nullptr) {
     return util::fail(ErrorCode::kParseError,
                       "journaled cashier purchase names an unknown account");
   }
   RPROXY_RETURN_IF_ERROR(
       acct->debit(rec.currency, static_cast<std::int64_t>(rec.amount)));
-  if (find_account_(std::string(kCashierAccount)) == nullptr) {
-    open_account_(std::string(kCashierAccount), config_.name);
-  }
-  find_account_(std::string(kCashierAccount))
-      ->credit(rec.currency, static_cast<std::int64_t>(rec.amount));
+  cashier->credit(rec.currency, static_cast<std::int64_t>(rec.amount));
   return util::Status::ok();
+}
+
+void AccountingServer::apply_route_(const RouteSetRecord& rec) {
+  routes_[rec.drawee] = rec.via;
+}
+
+void AccountingServer::apply_freeze_(const MigrationSpec& spec) {
+  frozen_[spec.migration_id] = spec;
+}
+
+void AccountingServer::apply_adopt_(const IdentityAdoptRecord& rec) {
+  adopted_identities_.insert(rec.name);
 }
 
 void AccountingServer::apply_migrate_in_(const MigrateInRecord& rec) {
@@ -1259,11 +1231,11 @@ void AccountingServer::apply_migrate_out_(const MigrationSpec& spec) {
 void AccountingServer::set_route(const PrincipalName& drawee,
                                  const PrincipalName& via) {
   std::lock_guard lock(state_mutex_);
-  routes_[drawee] = via;
+  const RouteSetRecord record{drawee, via};
+  apply_route_(record);
   // Setup API: a journal failure here marks the server storage-dead (it
   // will refuse all requests), which is all a void API can do.
-  (void)journal_append_(JournalRecordType::kRouteSet,
-                        RouteSetRecord{drawee, via});
+  (void)journal_append_(JournalRecordType::kRouteSet, record);
 }
 
 util::Status AccountingServer::migration_freeze(const MigrationSpec& spec) {
@@ -1275,10 +1247,9 @@ util::Status AccountingServer::migration_freeze(const MigrationSpec& spec) {
   {
     std::lock_guard lock(state_mutex_);
     if (!frozen_.contains(spec.migration_id)) {
-      frozen_[spec.migration_id] = spec;
-      const util::Status logged =
-          journal_append_(JournalRecordType::kMigrateFreeze, spec);
-      if (!logged.is_ok()) return logged;
+      apply_freeze_(spec);
+      RPROXY_RETURN_IF_ERROR(
+          journal_append_(JournalRecordType::kMigrateFreeze, spec));
     }
   }
   return commit_pending_();
@@ -1325,11 +1296,10 @@ util::Status AccountingServer::migration_import(
         applied_migrations_.contains(spec.migration_id)) {
       return util::Status::ok();  // re-driven migration: already imported
     }
-    MigrateInRecord record{spec, accounts};
+    const MigrateInRecord record{spec, accounts};
     apply_migrate_in_(record);
-    const util::Status logged =
-        journal_append_(JournalRecordType::kMigrateIn, record);
-    if (!logged.is_ok()) return logged;
+    RPROXY_RETURN_IF_ERROR(
+        journal_append_(JournalRecordType::kMigrateIn, record));
   }
   return commit_pending_();
 }
@@ -1354,9 +1324,8 @@ util::Status AccountingServer::migration_evacuate(const MigrationSpec& spec) {
     }
     if (has_freeze || has_accounts) {
       apply_migrate_out_(spec);
-      const util::Status logged =
-          journal_append_(JournalRecordType::kMigrateOut, spec);
-      if (!logged.is_ok()) return logged;
+      RPROXY_RETURN_IF_ERROR(
+          journal_append_(JournalRecordType::kMigrateOut, spec));
     }
   }
   return commit_pending_();
@@ -1376,6 +1345,7 @@ util::Status AccountingServer::commit_pending_() {
   if (t_uncommitted_lsn == 0) return util::Status::ok();
   const std::uint64_t lsn = t_uncommitted_lsn;
   t_uncommitted_lsn = 0;
+  // log_ is engaged by recover() before serving starts and stable after.
   const util::Status committed = log_->commit(lsn);
   if (!committed.is_ok()) storage_dead_.store(true);
   return committed;
@@ -1462,22 +1432,15 @@ net::Envelope AccountingServer::handle(const net::Envelope& request) {
   // park on one shared fsync instead of serializing the whole server.
   t_uncommitted_lsn = 0;  // a revocation listener may have left a residue
   net::Envelope reply = handle_dispatch_(request);
-  if (t_uncommitted_lsn != 0) {
-    const std::uint64_t lsn = t_uncommitted_lsn;
-    t_uncommitted_lsn = 0;
-    // log_ is engaged by recover() before serving starts and stable after.
-    const util::Status committed = log_->commit(lsn);
-    if (!committed.is_ok()) {
-      // The record may or may not be on disk; the in-memory mutation is
-      // applied either way.  Same resolution as an append failure: this
-      // "process" is dead, the reply is withheld, and the client's retry
-      // against a recovered server settles what actually survived.
-      storage_dead_.store(true);
-      return net::make_error_reply(
-          request, util::fail(ErrorCode::kUnavailable,
-                              "accounting server '" + config_.name +
-                                  "' is down (group fsync failed)"));
-    }
+  if (!commit_pending_().is_ok()) {
+    // The record may or may not be on disk; the in-memory mutation is
+    // applied either way.  Same resolution as an append failure: this
+    // "process" is dead, the reply is withheld, and the client's retry
+    // against a recovered server settles what actually survived.
+    return net::make_error_reply(
+        request, util::fail(ErrorCode::kUnavailable,
+                            "accounting server '" + config_.name +
+                                "' is down (group fsync failed)"));
   }
   // Semi-synchronous replication barrier (DESIGN.md §5h): a non-error
   // reply leaves only after every standby acknowledged the durable
@@ -1631,9 +1594,8 @@ net::Envelope AccountingServer::handle_transfer_(
   if (!who.is_ok()) return net::make_error_reply(request, who.status());
 
   std::lock_guard lock(state_mutex_);
-  Account* from = find_account_(req.from_account);
-  Account* to = find_account_(req.to_account);
-  if (from == nullptr || to == nullptr) {
+  const Account* from = find_account_(req.from_account);
+  if (from == nullptr || find_account_(req.to_account) == nullptr) {
     return net::make_error_reply(
         request, util::fail(ErrorCode::kNotFound, "no such account"));
   }
@@ -1646,17 +1608,14 @@ net::Envelope AccountingServer::handle_transfer_(
                    "'" + who.value() + "' may not debit '" +
                        req.from_account + "'"));
   }
-  util::Status debited =
-      from->debit(req.currency, static_cast<std::int64_t>(req.amount));
-  if (!debited.is_ok()) return net::make_error_reply(request, debited);
-  to->credit(req.currency, static_cast<std::int64_t>(req.amount));
-
-  // Write-ahead: the reply leaves only once the record is journaled.
-  const util::Status logged = journal_append_(
-      JournalRecordType::kTransfer,
-      TransferRecord{req.from_account, req.to_account, req.currency,
-                     req.amount});
-  if (!logged.is_ok()) return net::make_error_reply(request, logged);
+  // Apply through the replay applier (it refuses an overdraft before
+  // moving anything), then journal: the reply leaves only once the record
+  // is journaled.
+  const TransferRecord record{req.from_account, req.to_account, req.currency,
+                              req.amount};
+  util::Status done = apply_transfer_(record);
+  if (done.is_ok()) done = journal_append_(JournalRecordType::kTransfer, record);
+  if (!done.is_ok()) return net::make_error_reply(request, done);
 
   return net::make_reply(request, net::MsgType::kTransferReply,
                          TransferReplyPayload{true});
@@ -1679,7 +1638,7 @@ net::Envelope AccountingServer::handle_certify_(const net::Envelope& request) {
 
   const util::TimePoint hold_until =
       req.hold_until > now ? req.hold_until : now + util::kHour;
-  const DedupKey dedup_key{who.value(), req.check_number};
+  const DedupKey key{who.value(), req.check_number};
   {
     std::lock_guard lock(state_mutex_);
     // Exactly-once: a retried certify (fresh challenge after a lost
@@ -1688,13 +1647,13 @@ net::Envelope AccountingServer::handle_certify_(const net::Envelope& request) {
     // authentication, so only the payor can fetch it.
     if (config_.enable_dedup) {
       if (const CompletedOp* done =
-              find_completed_(completed_certifies_, dedup_key)) {
+              find_completed_(completed_certifies_, key)) {
         deduped_replies_ += 1;
         return net::make_reply(request, net::MsgType::kCertifyReply,
                                util::Bytes(done->reply_payload));
       }
     }
-    Account* acct = find_account_(req.account);
+    const Account* acct = find_account_(req.account);
     if (acct == nullptr) {
       return net::make_error_reply(
           request, util::fail(ErrorCode::kNotFound,
@@ -1709,7 +1668,6 @@ net::Envelope AccountingServer::handle_certify_(const net::Envelope& request) {
                                   req.account + "'"));
     }
 
-    const auto key = std::make_pair(who.value(), req.check_number);
     if (certified_.contains(key) ||
         accept_once_.seen(who.value(), req.check_number, now)) {
       // Outstanding hold OR a check with this number already cleared within
@@ -1718,20 +1676,24 @@ net::Envelope AccountingServer::handle_certify_(const net::Envelope& request) {
           request, util::fail(ErrorCode::kReplay,
                               "check number already certified or spent"));
     }
-    util::Status held =
-        acct->place_hold(req.currency, static_cast<std::int64_t>(req.amount));
-    if (!held.is_ok()) return net::make_error_reply(request, held);
-
-    certified_[key] = CertifiedHold{who.value(), req.account, req.currency,
-                                    req.amount, hold_until};
-
+    // An uncoverable certification is refused before the signature is
+    // paid for; the applier below re-checks and places the hold.
+    if (acct->available(req.currency) <
+        static_cast<std::int64_t>(req.amount)) {
+      return net::make_error_reply(
+          request, util::fail(ErrorCode::kInsufficientFunds,
+                              "cannot certify " + std::to_string(req.amount) +
+                                  " " + req.currency + " on '" +
+                                  req.account + "'"));
+    }
     // The certification proxy: this server asserts, to the target server,
     // that the hold exists.  Delegate proxy for the payor (no secret to
-    // transfer).  Signed while still holding the state lock so that
-    // hold placement and the dedup record are one atomic step — a racer
-    // arriving between them would see the hold but no stored reply and
-    // bounce with a spurious kReplay.  (No network I/O happens here, so
-    // the never-hold-locks-across-network rule is respected.)
+    // transfer).  Signed while still holding the state lock, because the
+    // signed reply is part of the record: hold placement and the dedup
+    // entry are then one atomic apply — a racer arriving between them
+    // would see the hold but no stored reply and bounce with a spurious
+    // kReplay.  (No network I/O happens here, so the
+    // never-hold-locks-across-network rule is respected.)
     core::RestrictionSet restrictions;
     restrictions.add(core::AuthorizedRestriction{
         {core::ObjectRights{certified_check_object(req.check_number),
@@ -1747,21 +1709,19 @@ net::Envelope AccountingServer::handle_certify_(const net::Envelope& request) {
     CertifyReplyPayload reply;
     reply.certification = certification.chain;
     reply.expires_at = certification.expires_at;
-    util::Bytes reply_payload = wire::encode_to_bytes(reply);
-    // Write-ahead: the certification (hold + signed reply) must be
+    CertifyRecord record{who.value(),       req.account,
+                         req.currency,      req.amount,
+                         req.check_number,  hold_until,
+                         wire::encode_to_bytes(reply)};
+    // The applier places the hold (or refuses it for lack of funds) and
+    // records the dedup entry.  Write-ahead: the certification must be
     // durable before the client can see it, or a crash would forget a
     // hold the payee is about to rely on.
-    const util::Status logged = journal_append_(
-        JournalRecordType::kCertify,
-        CertifyRecord{who.value(), req.account, req.currency, req.amount,
-                      req.check_number, hold_until, reply_payload});
-    if (!logged.is_ok()) return net::make_error_reply(request, logged);
-    if (config_.enable_dedup) {
-      record_completed_(completed_certifies_, dedup_key,
-                        util::Bytes(reply_payload), hold_until, now);
-    }
+    util::Status done = apply_certify_(record, now);
+    if (done.is_ok()) done = journal_append_(JournalRecordType::kCertify, record);
+    if (!done.is_ok()) return net::make_error_reply(request, done);
     return net::make_reply(request, net::MsgType::kCertifyReply,
-                           std::move(reply_payload));
+                           std::move(record.reply_payload));
   }
 }
 
@@ -1783,7 +1743,7 @@ net::Envelope AccountingServer::handle_cashier_(
 
   {
     std::lock_guard lock(state_mutex_);
-    Account* acct = find_account_(req.account);
+    const Account* acct = find_account_(req.account);
     if (acct == nullptr) {
       return net::make_error_reply(
           request, util::fail(ErrorCode::kNotFound,
@@ -1798,24 +1758,24 @@ net::Envelope AccountingServer::handle_cashier_(
                                   req.account + "'"));
     }
 
-    // Funds move NOW — that is what makes the check good as gold.
-    util::Status debited =
-        acct->debit(req.currency, static_cast<std::int64_t>(req.amount));
-    if (!debited.is_ok()) return net::make_error_reply(request, debited);
+    // The bank's own cashier account opens through a journaled record, so
+    // recovery and every standby hold the same account as this server.
+    util::Status done = util::Status::ok();
     if (find_account_(std::string(kCashierAccount)) == nullptr) {
-      open_account_(std::string(kCashierAccount), config_.name);
+      const AccountOpenRecord open{std::string(kCashierAccount), config_.name,
+                                   {}};
+      open_account_(open.name, open.owner, open.initial);
+      done = journal_append_(JournalRecordType::kAccountOpen, open);
     }
-    find_account_(std::string(kCashierAccount))
-        ->credit(req.currency, static_cast<std::int64_t>(req.amount));
-
+    // Funds move NOW — that is what makes the check good as gold.
     // Write-ahead: the funds move must be durable before the bank-signed
     // check leaves the building.  (The check itself is a bearer
     // instrument and is not journaled; a crash before the reply simply
     // never issues it, and replay restores the funded cashier account.)
-    const util::Status logged =
-        journal_append_(JournalRecordType::kCashier,
-                        CashierRecord{req.account, req.currency, req.amount});
-    if (!logged.is_ok()) return net::make_error_reply(request, logged);
+    const CashierRecord record{req.account, req.currency, req.amount};
+    if (done.is_ok()) done = apply_cashier_(record);
+    if (done.is_ok()) done = journal_append_(JournalRecordType::kCashier, record);
+    if (!done.is_ok()) return net::make_error_reply(request, done);
   }
 
   // The check is drawn on the bank's own cashier account and signed by the
@@ -1875,19 +1835,12 @@ net::Envelope AccountingServer::handle_deposit_(const net::Envelope& request) {
     checks_bounced_ += 1;
     return net::make_error_reply(request, reply.status());
   }
+  // The settle/foreign applier already recorded the dedup entry, in the
+  // same lock hold that moved the money and journaled it.  Only completed
+  // settlements are remembered: a bounced deposit left no state behind, so
+  // retrying it afresh is both safe and desired.
   checks_cleared_ += 1;
-  util::Bytes reply_payload = wire::encode_to_bytes(reply.value());
-  if (config_.enable_dedup && dedup_key.has_value()) {
-    // Only completed settlements are remembered: a bounced deposit left no
-    // state behind, so retrying it afresh is both safe and desired.
-    const util::TimePoint expiry =
-        req.check.expires_at > now ? req.check.expires_at : now + util::kHour;
-    std::lock_guard lock(state_mutex_);
-    record_completed_(completed_deposits_, *dedup_key,
-                      util::Bytes(reply_payload), expiry, now);
-  }
-  return net::make_reply(request, net::MsgType::kDepositReply,
-                         std::move(reply_payload));
+  return net::make_reply(request, net::MsgType::kDepositReply, reply.value());
 }
 
 util::Result<DepositReplyPayload> AccountingServer::settle_(
@@ -1929,7 +1882,7 @@ util::Result<DepositReplyPayload> AccountingServer::settle_(
       verified.effective_restrictions.evaluate(ctx));
 
   std::lock_guard lock(state_mutex_);
-  Account* payor = find_account_(terms.payor_local_account);
+  const Account* payor = find_account_(terms.payor_local_account);
   if (payor == nullptr) {
     return util::fail(ErrorCode::kNotFound,
                       "check drawn on unknown account '" +
@@ -1937,7 +1890,13 @@ util::Result<DepositReplyPayload> AccountingServer::settle_(
   }
   authz::AuthorityContext authority;
   authority.principals = {verified.grantor};
-  if (!payor->authorizes(authority, "debit")) {
+  // The cashier account answers to every name this server answers to:
+  // after a takeover it carries the dead bank's cashier's checks as well
+  // as the ones this server signs itself.
+  const bool own_cashier_check =
+      terms.payor_local_account == kCashierAccount &&
+      is_local_drawee_locked_(verified.grantor);
+  if (!own_cashier_check && !payor->authorizes(authority, "debit")) {
     return util::fail(ErrorCode::kPermissionDenied,
                       "check signer '" + verified.grantor +
                           "' may not debit '" + terms.payor_local_account +
@@ -1955,49 +1914,32 @@ util::Result<DepositReplyPayload> AccountingServer::settle_(
       req.check.expires_at > now ? req.check.expires_at : now + util::kHour;
 
   // Resolve the collection account BEFORE moving any money, so a deposit
-  // naming a bad account bounces cleanly instead of stranding the debit.
-  // Settlement accounts for peer accounting servers are auto-created.
-  Account* collect = find_account_(req.collect_account);
-  if (collect == nullptr) {
-    if (req.collect_account.rfind("peer:", 0) == 0) {
-      open_account_(req.collect_account, presenter);
-      collect = find_account_(req.collect_account);
-    } else {
-      return util::fail(ErrorCode::kNotFound,
-                        "no collection account '" + req.collect_account +
-                            "'");
-    }
+  // naming a bad account bounces cleanly.  Settlement accounts for peer
+  // accounting servers are auto-created by the applier.
+  if (const Account* collect = find_account_(req.collect_account)) {
+    record.collect_owner = collect->owner();
+  } else if (req.collect_account.rfind("peer:", 0) == 0) {
+    record.collect_owner = presenter;
+  } else {
+    return util::fail(ErrorCode::kNotFound,
+                      "no collection account '" + req.collect_account + "'");
   }
-  record.collect_owner = collect->owner();
 
-  // Certified check?  Settle from the hold.
-  const auto certified_key =
-      std::make_pair(verified.grantor, terms.check_number);
-  if (auto it = certified_.find(certified_key); it != certified_.end()) {
+  // Certified check?  Settle from the hold; any remainder is released.
+  if (auto it = certified_.find({verified.grantor, terms.check_number});
+      it != certified_.end()) {
     record.from_hold = true;
-    // Any remainder of the hold is released.
     if (it->second.amount > req.amount) {
       record.hold_release = it->second.amount - req.amount;
     }
-    RPROXY_RETURN_IF_ERROR(payor->debit_held(
-        terms.currency, static_cast<std::int64_t>(req.amount)));
-    if (record.hold_release > 0) {
-      payor->release_hold(terms.currency,
-                          static_cast<std::int64_t>(record.hold_release));
-    }
-    certified_.erase(it);
-  } else {
-    RPROXY_RETURN_IF_ERROR(payor->debit(
-        terms.currency, static_cast<std::int64_t>(req.amount)));
   }
-  collect->credit(terms.currency, static_cast<std::int64_t>(req.amount));
 
-  DepositReplyPayload reply;
-  reply.cleared = true;
-  reply.hops = 0;
+  const DepositReplyPayload reply{.cleared = true, .hops = 0};
   record.reply_payload = wire::encode_to_bytes(reply);
-  // Write-ahead: the settlement is durable before the cleared reply (and
-  // its dedup entry, recorded by the caller) can exist.
+  // The applier refuses an overdraft before moving anything, then debits,
+  // credits and records the dedup entry.  Write-ahead: the settlement is
+  // durable before the cleared reply can leave.
+  RPROXY_RETURN_IF_ERROR(apply_settle_(record, now));
   RPROXY_RETURN_IF_ERROR(
       journal_append_(JournalRecordType::kSettleLocal, record));
   return reply;
@@ -2005,33 +1947,40 @@ util::Result<DepositReplyPayload> AccountingServer::settle_(
 
 util::Result<DepositReplyPayload> AccountingServer::collect_foreign_(
     const DepositPayload& req, util::TimePoint now) {
-  // Signature-verify the chain before crediting anything; restriction
+  // Signature-verify the chain before accepting anything; restriction
   // evaluation belongs to the drawee.
   RPROXY_ASSIGN_OR_RETURN(core::VerifiedProxy verified,
                           verifier_.verify_chain(req.check.chain, now));
   RPROXY_ASSIGN_OR_RETURN(CheckTerms terms,
                           parse_check_terms(req.check, verified));
 
+  ForeignSettledRecord record;
+  record.grantor = verified.grantor;
+  record.check_number = terms.check_number;
+  record.collect_account = req.collect_account;
+  record.currency = terms.currency;
+  record.amount = req.amount;
+  record.expires_at =
+      req.check.expires_at > now ? req.check.expires_at : now + util::kHour;
+
   const auto pending_key =
       std::make_pair(terms.drawee_server, terms.check_number);
   PrincipalName next;
   {
-    // Provisional credit under the state lock; the lock is NOT held across
-    // the collection RPC below (two banks collecting from each other in
-    // parallel would deadlock, and a slow drawee must not stall this node).
+    // The lock is NOT held across the collection RPC below (two banks
+    // collecting from each other in parallel would deadlock, and a slow
+    // drawee must not stall this node).
     std::lock_guard lock(state_mutex_);
-    Account* collect = find_account_(req.collect_account);
-    if (collect == nullptr) {
+    if (const Account* collect = find_account_(req.collect_account)) {
+      record.collect_owner = collect->owner();
+    } else if (req.collect_account.rfind("peer:", 0) == 0) {
       // Settlement accounts for peer accounting servers (multi-hop
-      // clearing) are auto-created, like in settle_().
-      if (req.collect_account.rfind("peer:", 0) == 0) {
-        open_account_(req.collect_account,
-                      req.collect_account.substr(5));
-        collect = find_account_(req.collect_account);
-      } else {
-        return util::fail(ErrorCode::kNotFound, "no collection account '" +
-                                                    req.collect_account + "'");
-      }
+      // clearing) are auto-created by the applier, like in settle_().
+      record.collect_owner = req.collect_account.substr(5);
+    } else {
+      return util::fail(ErrorCode::kNotFound,
+                        "no collection account '" + req.collect_account +
+                            "'");
     }
 
     if (uncollected_.contains(pending_key)) {
@@ -2040,8 +1989,9 @@ util::Result<DepositReplyPayload> AccountingServer::collect_foreign_(
                         "check is already being collected");
     }
 
-    // "marks the resources added to S's account as uncollected"
-    collect->credit(terms.currency, static_cast<std::int64_t>(req.amount));
+    // "marks the resources added to S's account as uncollected": the
+    // provisional credit lives only here, never in the balance, so nothing
+    // can spend it before the drawee pays and a bounce has nothing to undo.
     uncollected_[pending_key] =
         Uncollected{req.collect_account, terms.currency, req.amount};
 
@@ -2061,18 +2011,14 @@ util::Result<DepositReplyPayload> AccountingServer::collect_foreign_(
     }
   }
 
-  const auto undo = [&]() {
+  const auto drop_pending = [&]() {
     std::lock_guard lock(state_mutex_);
-    if (Account* collect = find_account_(req.collect_account)) {
-      (void)collect->debit(terms.currency,
-                           static_cast<std::int64_t>(req.amount));
-    }
     uncollected_.erase(pending_key);
   };
   auto endorsed = endorse_check(req.check, config_.name,
                                 config_.identity_key, next, now);
   if (!endorsed.is_ok()) {
-    undo();
+    drop_pending();
     return endorsed.status();
   }
 
@@ -2105,46 +2051,22 @@ util::Result<DepositReplyPayload> AccountingServer::collect_foreign_(
       });
   if (!forwarded.is_ok()) {
     // Check returned (insufficient resources, forged, unreachable after
-    // all retries, or misdrawn): undo the provisional credit and surface
+    // all retries, or misdrawn): drop the uncollected entry and surface
     // the bounce.
-    undo();
+    drop_pending();
     return forwarded.status();
   }
 
-  DepositReplyPayload reply;
-  reply.cleared = true;
-  reply.hops = forwarded.value().hops + 1;
-
-  {
-    std::lock_guard lock(state_mutex_);
-    uncollected_.erase(pending_key);
-    // Write-ahead commit of the collection.  The provisional credit was
-    // never journaled (a crash mid-collection forgets it; the client
-    // retries and the drawee's dedup table replays the settlement), so
-    // this record carries the credit and replay performs it.
-    ForeignSettledRecord record;
-    record.grantor = verified.grantor;
-    record.check_number = terms.check_number;
-    record.collect_account = req.collect_account;
-    record.currency = terms.currency;
-    record.amount = req.amount;
-    record.expires_at =
-        req.check.expires_at > now ? req.check.expires_at : now + util::kHour;
-    record.reply_payload = wire::encode_to_bytes(reply);
-    Account* collect = find_account_(req.collect_account);
-    if (collect != nullptr) record.collect_owner = collect->owner();
-    const util::Status logged =
-        journal_append_(JournalRecordType::kForeignSettled, record);
-    if (!logged.is_ok()) {
-      // Keep this process's books balanced on the way down: the credit it
-      // could not make durable is rolled back before the error surfaces.
-      if (collect != nullptr) {
-        (void)collect->debit(terms.currency,
-                             static_cast<std::int64_t>(req.amount));
-      }
-      return logged;
-    }
-  }
+  const DepositReplyPayload reply{.cleared = true,
+                                  .hops = forwarded.value().hops + 1};
+  record.reply_payload = wire::encode_to_bytes(reply);
+  std::lock_guard lock(state_mutex_);
+  uncollected_.erase(pending_key);
+  // Write-ahead commit of the collection: the record carries the credit
+  // (and the dedup entry), applied here exactly as replay applies it.
+  RPROXY_RETURN_IF_ERROR(apply_foreign_(record, now));
+  RPROXY_RETURN_IF_ERROR(
+      journal_append_(JournalRecordType::kForeignSettled, record));
   return reply;
 }
 

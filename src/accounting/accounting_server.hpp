@@ -329,9 +329,8 @@ class AccountingServer final : public net::Node {
   /// and holds; revocation state (v4+) is MERGED into the attached
   /// registry (its state is monotonic, so merging is safe and
   /// order-insensitive).  Fails (state untouched) on a wrong key,
-  /// tampering, or a truncated / unknown-version payload.  Accepts the
-  /// current v5 format and the earlier v4 (pre-migration), v3
-  /// (pre-revocation) and v2 (pre-routes) formats.
+  /// tampering, or a truncated / unknown-version payload.  Accepts only
+  /// the v6 format, the one snapshot() writes.
   [[nodiscard]] util::Status restore(const crypto::SymmetricKey& key,
                                      util::BytesView snapshot);
 
@@ -520,9 +519,11 @@ class AccountingServer final : public net::Node {
   using DedupKey = std::pair<PrincipalName, std::uint64_t>;
   using DedupTable = std::map<DedupKey, CompletedOp>;
 
-  // Journal record payloads (see JournalRecordType).  Each is written on
-  // the live path after the in-memory mutation succeeds and re-applied
-  // verbatim by recover().
+  // Journal record payloads (see JournalRecordType).  A live handler
+  // validates the request, builds the record, applies it through the
+  // matching apply_*_ below and only then journals it; recover() and
+  // apply_replicated() re-apply it through the same applier, so replayed
+  // state equals live state by construction.
   struct AccountOpenRecord {
     std::string name;
     PrincipalName owner;
@@ -646,8 +647,9 @@ class AccountingServer final : public net::Node {
   [[nodiscard]] util::Result<DepositReplyPayload> settle_(
       const DepositPayload& req, const PrincipalName& presenter,
       util::TimePoint now);
-  /// Collects a foreign check: credit locally (uncollected), endorse,
-  /// forward; revert on bounce.
+  /// Collects a foreign check: park the amount in uncollected_ (not in the
+  /// balance), endorse, forward; on success apply kForeignSettled, on
+  /// bounce just drop the uncollected_ entry.
   [[nodiscard]] util::Result<DepositReplyPayload> collect_foreign_(
       const DepositPayload& req, util::TimePoint now);
 
@@ -664,6 +666,11 @@ class AccountingServer final : public net::Node {
   /// call with state_mutex_ released.
   [[nodiscard]] util::Status commit_pending_();
 
+  /// In-memory effects of kRouteSet, kMigrateFreeze and kIdentityAdopt
+  /// records (state_mutex_ held).
+  void apply_route_(const RouteSetRecord& rec);
+  void apply_freeze_(const MigrationSpec& spec);
+  void apply_adopt_(const IdentityAdoptRecord& rec);
   /// In-memory effect of a kMigrateIn record (state_mutex_ held).
   void apply_migrate_in_(const MigrateInRecord& rec);
   /// In-memory effect of a kMigrateOut record (state_mutex_ held).
@@ -690,7 +697,7 @@ class AccountingServer final : public net::Node {
       const crypto::SymmetricKey& key) const;
 
   /// Shared body of restore() / restore_replica(): `expected_server` is the
-  /// name the v5 snapshot must carry.
+  /// name the v6 snapshot must carry.
   [[nodiscard]] util::Status restore_(const crypto::SymmetricKey& key,
                                       util::BytesView snapshot,
                                       const PrincipalName& expected_server);
@@ -725,9 +732,11 @@ class AccountingServer final : public net::Node {
   /// must be held.
   [[nodiscard]] bool is_local_drawee_locked_(
       const PrincipalName& server) const;
-  /// Per-type appliers (state_mutex_ held).  Settle/certify/foreign are
-  /// idempotent against their dedup entry so a record that survives in
-  /// both a snapshot and the journal tail applies once.
+  /// Per-type appliers (state_mutex_ held), shared by the live handlers
+  /// and replay.  Each either refuses before mutating anything (e.g. an
+  /// overdraft) or applies the whole effect.  Settle/certify/foreign record
+  /// their dedup entry and are idempotent against it, so a record that
+  /// survives in both a snapshot and the journal tail applies once.
   [[nodiscard]] util::Status apply_transfer_(const TransferRecord& rec);
   [[nodiscard]] util::Status apply_certify_(const CertifyRecord& rec,
                                             util::TimePoint now);
@@ -752,6 +761,7 @@ class AccountingServer final : public net::Node {
   std::map<std::pair<PrincipalName, std::uint64_t>, CertifiedHold>
       certified_;
   /// Credits pending collection keyed by (drawee server, check number).
+  /// The only live-only state: never journaled, never in a balance.
   std::map<std::pair<PrincipalName, std::uint64_t>, Uncollected>
       uncollected_;
   /// Exactly-once replay tables (guarded by state_mutex_): completed

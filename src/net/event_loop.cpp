@@ -427,8 +427,10 @@ void EventLoopServer::scan_idle_(std::uint64_t now_us) {
     }
   }
   for (const int fd : victims) {
-    close_connection_(fd);
+    // Count before closing: a client that sees EOF must already observe
+    // the increment.
     idle_closed_.fetch_add(1);
+    close_connection_(fd);
   }
 }
 

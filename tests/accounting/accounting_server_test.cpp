@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "testing/env.hpp"
 
 namespace rproxy {
@@ -179,6 +181,51 @@ TEST_F(AccountingServerTest, InsufficientFundsCheckBounces) {
   EXPECT_EQ(bank1_->account("server-account")->balances().balance("usd"), 0);
   EXPECT_EQ(bank1_->uncollected_total(), 0);
   EXPECT_EQ(bank1_->checks_bounced(), 1u);
+}
+
+/// Stands in for a drawee bank on the net: runs `before_deposit` when a
+/// check deposit arrives, then forwards everything to the real bank.
+class InterposedDrawee final : public net::Node {
+ public:
+  InterposedDrawee(net::Node& drawee, std::function<void()> before_deposit)
+      : drawee_(drawee), before_deposit_(std::move(before_deposit)) {}
+
+  net::Envelope handle(const net::Envelope& request) override {
+    if (request.type == net::MsgType::kCheckDeposit) before_deposit_();
+    return drawee_.handle(request);
+  }
+
+ private:
+  net::Node& drawee_;
+  std::function<void()> before_deposit_;
+};
+
+TEST_F(AccountingServerTest, CheckInCollectionCannotBeSpentBeforeItBounces) {
+  // While bank1 collects a 500 check from bank2, the payee tries to move
+  // 500 out of the collection account.  The check then bounces (the payor
+  // holds only 100).  A provisional credit in the balance would let the
+  // payee spend money bank1 never receives.
+  bank1_->open_account("payee-savings", "app-server");
+  const auto bank1_total = [&] {
+    return bank1_->account("server-account")->balances().balance("usd") +
+           bank1_->account("payee-savings")->balances().balance("usd");
+  };
+  const std::int64_t before = bank1_total();
+  auto spender = world_.accounting_client("app-server");
+  util::Status spend;
+  InterposedDrawee interposed(*bank2_, [&] {
+    spend = spender.transfer("bank1", "server-account", "payee-savings",
+                             "usd", 500);
+  });
+  world_.net.attach("bank2", interposed);
+
+  const Check check = write_check(500, 40);
+  auto payee = world_.accounting_client("app-server");
+  EXPECT_EQ(payee.endorse_and_deposit("bank1", check, "server-account").code(),
+            util::ErrorCode::kInsufficientFunds);
+  EXPECT_EQ(spend.code(), util::ErrorCode::kInsufficientFunds);
+  EXPECT_EQ(bank1_total(), before);
+  EXPECT_EQ(bank1_->uncollected_total(), 0);
 }
 
 TEST_F(AccountingServerTest, PartialDraw) {

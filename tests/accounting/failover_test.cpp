@@ -199,6 +199,33 @@ TEST(Failover, ChecksDrawnOnTheDeadPrimarysNameClearAtTheSuccessor) {
   EXPECT_EQ(winner.uncollected_total(), 0);
 }
 
+TEST(Failover, CashierChecksOfBothBanksClearAtTheSuccessor) {
+  HealWorld w(/*standbys=*/1);
+  auto client = w.world.accounting_client("alice");
+  // Sold (and signed) by "bank" before the failure, never presented to it.
+  auto old_check = client.buy_cashier_check("bank", "a1", "alice", "usd", 50);
+  ASSERT_TRUE(old_check.is_ok()) << old_check.status();
+
+  w.kill_primary_and_heal(1);
+
+  // The successor's cashier account is the one it replicated from "bank";
+  // it must honour the dead bank's paper and the checks it signs itself.
+  auto new_check =
+      client.buy_cashier_check("bank-s1", "a1", "alice", "usd", 60);
+  ASSERT_TRUE(new_check.is_ok()) << new_check.status();
+  auto old_cleared =
+      client.endorse_and_deposit("bank-s1", old_check.value(), "a2");
+  EXPECT_TRUE(old_cleared.is_ok()) << old_cleared.status();
+  auto new_cleared =
+      client.endorse_and_deposit("bank-s1", new_check.value(), "a2");
+  EXPECT_TRUE(new_cleared.is_ok()) << new_cleared.status();
+
+  AccountingServer& winner = w.replayers[0]->server();
+  EXPECT_EQ(w.balance_at(winner, "a1"), kInitial - 110);
+  EXPECT_EQ(w.balance_at(winner, "a2"), kInitial + 110);
+  EXPECT_EQ(w.balance_at(winner, "cashier"), 0);
+}
+
 TEST(Failover, LoserOfThePromotionRaceResubscribesToTheWinner) {
   HealWorld w(/*standbys=*/2);
   auto client = w.world.accounting_client("alice");

@@ -127,12 +127,13 @@ TEST_F(RecoveryTest, CleanRestartPreservesEverything) {
 }
 
 // The tentpole invariant, swept across every journal offset: kill the bank
-// at append K for K = 1..7 (the fixed op sequence makes exactly 6 appends;
-// K = 7 never fires), restart, and require the recovered state to match
-// exactly what the client was told — every acknowledged op is present,
+// at append K for K = 1..8 (the fixed op sequence makes exactly 7 appends:
+// the first cashier's check also journals the opening of the bank's
+// cashier account; K = 8 never fires), restart, and require the recovered
+// state to match exactly what the client was told — every acknowledged op is present,
 // every failed op is absent, and the books balance in between.
 TEST_F(RecoveryTest, KillAnywhereSweepRecoversExactlyTheAcknowledgedOps) {
-  for (std::uint64_t kill_at = 1; kill_at <= 7; ++kill_at) {
+  for (std::uint64_t kill_at = 1; kill_at <= 8; ++kill_at) {
     SCOPED_TRACE("kill at append " + std::to_string(kill_at));
     const std::string state = dir_.sub("bank-k" + std::to_string(kill_at));
     storage::CrashPoint crash;  // inert during setup
@@ -219,8 +220,8 @@ TEST_F(RecoveryTest, KillAnywhereSweepRecoversExactlyTheAcknowledgedOps) {
     for (const auto& op : ops) {
       if (!op()) crashed = true;
     }
-    EXPECT_EQ(crashed, kill_at <= 6);
-    EXPECT_EQ(bank->storage_dead(), kill_at <= 6);
+    EXPECT_EQ(crashed, kill_at <= 7);
+    EXPECT_EQ(bank->storage_dead(), kill_at <= 7);
     if (crash.dead()) {
       // A dead bank refuses even reads: it can no longer stand behind its
       // in-memory state.
