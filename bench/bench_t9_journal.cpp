@@ -1,11 +1,12 @@
 // T9 — cost of crash durability (DESIGN.md §5e, EXPERIMENTS.md T9).
 //
-// Three questions: (1) raw write-ahead journal append throughput under each
+// Four questions: (1) raw write-ahead journal append throughput under each
 // fsync policy — the disk tax every durable mutation pays; (2) what a
 // served mutation costs end-to-end with the journal off, batched, and
 // fsync-per-record — the policy knob a deployment actually turns; (3) how
 // long recovery takes as a function of journal length — the price of a
-// long tail between checkpoints, and the reason checkpoint() exists.
+// long tail between checkpoints, and the reason checkpoint() exists; (4)
+// what one replication tail read costs as the journal grows.
 #include <filesystem>
 #include <string>
 
@@ -148,5 +149,43 @@ void BM_RecoveryReplay(benchmark::State& state) {
       static_cast<double>(records), benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_RecoveryReplay)->Arg(64)->Arg(512)->Arg(4096);
+
+/// One replication tail read — the newest committed record — from a
+/// journal of N records (128-byte payloads, all committed).  This is what
+/// every semi-sync ship pays on the primary; it must not grow with N.
+void BM_ReadCommittedTail(benchmark::State& state) {
+  const auto records = static_cast<std::uint64_t>(state.range(0));
+  rproxy::testing::TempDir dir;
+  storage::LogDir::Config config;
+  config.dir = dir.sub("log");
+  config.journal.fsync_policy = storage::FsyncPolicy::kGroup;
+  auto log = storage::LogDir::open(config, nullptr);
+  if (!log.is_ok()) {
+    state.SkipWithError("log open failed");
+    return;
+  }
+  const util::Bytes payload(128, 0x5A);
+  for (std::uint64_t i = 0; i < records; ++i) {
+    if (!log.value().append(1, payload).is_ok()) {
+      state.SkipWithError("append failed");
+      return;
+    }
+  }
+  if (!log.value().commit(records).is_ok()) {
+    state.SkipWithError("commit failed");
+    return;
+  }
+  for (auto _ : state) {
+    auto tail = log.value().read_committed(records, 1);
+    benchmark::DoNotOptimize(tail);
+    if (!tail.is_ok() || tail.value().records.size() != 1) {
+      state.SkipWithError("tail read failed");
+      return;
+    }
+  }
+  state.counters["records"] =
+      benchmark::Counter(static_cast<double>(records));
+}
+BENCHMARK(BM_ReadCommittedTail)->Arg(1000)->Arg(10000)->Arg(100000);
 
 }  // namespace

@@ -66,11 +66,40 @@ util::Bytes encode_file_header(std::uint64_t base_lsn) {
 /// payload, i.e. everything except the CRC field itself.
 std::uint32_t frame_crc(std::uint32_t len, std::uint16_t type,
                         util::BytesView payload) {
-  util::Bytes head;
-  head.reserve(6);
-  put_u32(head, len);
-  put_u16(head, type);
-  return crc32c(payload, crc32c({head.data(), head.size()}));
+  const std::uint8_t head[6] = {static_cast<std::uint8_t>(len >> 24),
+                                static_cast<std::uint8_t>(len >> 16),
+                                static_cast<std::uint8_t>(len >> 8),
+                                static_cast<std::uint8_t>(len),
+                                static_cast<std::uint8_t>(type >> 8),
+                                static_cast<std::uint8_t>(type)};
+  return crc32c(payload, crc32c(head));
+}
+
+/// The one frame parser.  Walks the frames of `data` — the bytes after a
+/// file header, or any frame-aligned slice of them — appending each intact
+/// one to `out` numbered from `first_lsn`, and stops at the first frame
+/// that is cut short, oversized or fails its CRC: frames are appended in
+/// order and each is a single write, so nothing after a bad frame can be
+/// trusted (its very length prefix may be garbage).  Returns the number of
+/// bytes the intact frames cover.
+std::size_t parse_frames(util::BytesView data, std::uint64_t first_lsn,
+                         std::vector<JournalRecord>& out) {
+  std::size_t pos = 0;
+  std::uint64_t lsn = first_lsn;
+  while (data.size() - pos >= kFrameHeaderSize) {
+    const std::uint32_t len = get_u32(data.data() + pos);
+    const std::uint16_t type = get_u16(data.data() + pos + 4);
+    const std::uint32_t crc = get_u32(data.data() + pos + 6);
+    if (len > kMaxJournalRecordBytes ||
+        len > data.size() - pos - kFrameHeaderSize) {
+      break;
+    }
+    const util::BytesView payload = data.subspan(pos + kFrameHeaderSize, len);
+    if (frame_crc(len, type, payload) != crc) break;
+    out.push_back(JournalRecord{lsn++, type, util::to_bytes(payload)});
+    pos += kFrameHeaderSize + len;
+  }
+  return pos;
 }
 
 util::Bytes encode_frame(std::uint16_t type, util::BytesView payload) {
@@ -164,39 +193,11 @@ util::Result<JournalReader::Scan> JournalReader::read(
 
   Scan scan;
   scan.base_lsn = get_u64(data.data() + 8);
-  std::size_t pos = kFileHeaderSize;
-  // Walk frames until the data runs out or a frame fails its CRC.  Either
-  // way the rest of the file is a torn tail: frames are appended in order
-  // and each is a single write, so nothing after a bad frame can be
-  // trusted (its very length prefix may be garbage).
-  while (pos < data.size()) {
-    if (data.size() - pos < kFrameHeaderSize) {
-      scan.tail_truncated = true;
-      break;
-    }
-    const std::uint32_t len = get_u32(data.data() + pos);
-    const std::uint16_t type = get_u16(data.data() + pos + 4);
-    const std::uint32_t crc = get_u32(data.data() + pos + 6);
-    if (len > kMaxJournalRecordBytes ||
-        len > data.size() - pos - kFrameHeaderSize) {
-      scan.tail_truncated = true;
-      break;
-    }
-    const util::BytesView payload{data.data() + pos + kFrameHeaderSize, len};
-    if (frame_crc(len, type, payload) != crc) {
-      scan.tail_truncated = true;
-      break;
-    }
-    JournalRecord record;
-    record.lsn = scan.base_lsn + scan.records.size();
-    record.type = type;
-    record.payload = util::to_bytes(payload);
-    scan.records.push_back(std::move(record));
-    pos += kFrameHeaderSize + len;
-  }
-  scan.valid_bytes = scan.tail_truncated
-                         ? static_cast<std::uint64_t>(pos)
-                         : static_cast<std::uint64_t>(data.size());
+  const util::BytesView frames =
+      util::BytesView(data).subspan(kFileHeaderSize);
+  scan.valid_bytes =
+      kFileHeaderSize + parse_frames(frames, scan.base_lsn, scan.records);
+  scan.tail_truncated = scan.valid_bytes < data.size();
   return scan;
 }
 
@@ -204,7 +205,7 @@ util::Result<JournalWriter> JournalWriter::create(const std::string& path,
                                                   std::uint64_t base_lsn,
                                                   Config config) {
   const int fd = ::open(path.c_str(),
-                        O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
+                        O_RDWR | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
   if (fd < 0) return io_fail("journal create", path);
   const util::Bytes header = encode_file_header(base_lsn);
   util::Status written = write_all(fd, header, path);
@@ -219,7 +220,9 @@ util::Result<JournalWriter> JournalWriter::create(const std::string& path,
   JournalWriter writer;
   writer.path_ = path;
   writer.fd_ = fd;
+  writer.base_lsn_ = base_lsn;
   writer.next_lsn_ = base_lsn;
+  writer.end_offset_ = kFileHeaderSize;
   writer.config_ = config;
   writer.appended_lsn_ = base_lsn - 1;
   writer.commit_ = std::make_unique<CommitState>();
@@ -231,7 +234,12 @@ util::Result<JournalWriter> JournalWriter::open(const std::string& path,
                                                 Config config) {
   RPROXY_ASSIGN_OR_RETURN(JournalReader::Scan scan,
                           JournalReader::read(path));
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
+  return open(path, scan, config);
+}
+
+util::Result<JournalWriter> JournalWriter::open(
+    const std::string& path, const JournalReader::Scan& scan, Config config) {
+  const int fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
   if (fd < 0) return io_fail("journal open", path);
   // Truncate the torn tail (if any) so new frames start on a clean
   // boundary, then append from there.
@@ -248,8 +256,16 @@ util::Result<JournalWriter> JournalWriter::open(const std::string& path,
   JournalWriter writer;
   writer.path_ = path;
   writer.fd_ = fd;
+  writer.base_lsn_ = scan.base_lsn;
   writer.next_lsn_ = scan.base_lsn + scan.records.size();
+  writer.end_offset_ = scan.valid_bytes;
   writer.config_ = config;
+  writer.frame_ends_.reserve(scan.records.size());
+  std::uint64_t end = kFileHeaderSize;
+  for (const JournalRecord& record : scan.records) {
+    end += kFrameHeaderSize + record.payload.size();
+    writer.frame_ends_.push_back(end);
+  }
   // Records that survived the reopen scan count as durable: they were on
   // disk before this process existed.
   writer.appended_lsn_ = writer.next_lsn_ - 1;
@@ -263,11 +279,14 @@ util::Result<JournalWriter> JournalWriter::open(const std::string& path,
 JournalWriter::JournalWriter(JournalWriter&& other) noexcept
     : path_(std::move(other.path_)),
       fd_(other.fd_),
+      base_lsn_(other.base_lsn_),
       next_lsn_(other.next_lsn_),
+      end_offset_(other.end_offset_),
       config_(other.config_),
       unsynced_records_(other.unsynced_records_),
       dead_(other.dead_.load()),
       appended_lsn_(other.appended_lsn_),
+      frame_ends_(std::move(other.frame_ends_)),
       commit_(std::move(other.commit_)) {
   other.fd_ = -1;
 }
@@ -277,11 +296,14 @@ JournalWriter& JournalWriter::operator=(JournalWriter&& other) noexcept {
     if (fd_ >= 0) ::close(fd_);
     path_ = std::move(other.path_);
     fd_ = other.fd_;
+    base_lsn_ = other.base_lsn_;
     next_lsn_ = other.next_lsn_;
+    end_offset_ = other.end_offset_;
     config_ = other.config_;
     unsynced_records_ = other.unsynced_records_;
     dead_.store(other.dead_.load());
     appended_lsn_ = other.appended_lsn_;
+    frame_ends_ = std::move(other.frame_ends_);
     commit_ = std::move(other.commit_);
     other.fd_ = -1;
   }
@@ -311,8 +333,13 @@ util::Result<std::uint64_t> JournalWriter::append(std::uint16_t type,
   if (config_.crash != nullptr) {
     admitted = config_.crash->admit(frame.size());
   }
-  RPROXY_RETURN_IF_ERROR(
-      write_all(fd_, {frame.data(), admitted}, path_));
+  if (util::Status written = write_all(fd_, {frame.data(), admitted}, path_);
+      !written.is_ok()) {
+    // Part of the frame may be on disk: later frames would no longer start
+    // where the index says, so this writer takes no more appends.
+    dead_.store(true);
+    return written;
+  }
   if (admitted < frame.size()) {
     // Simulated kill mid-write: the torn frame is on disk, the record is
     // NOT durable, and this "process" no longer accepts work.
@@ -324,12 +351,14 @@ util::Result<std::uint64_t> JournalWriter::append(std::uint16_t type,
   }
   const std::uint64_t lsn = next_lsn_;
   next_lsn_ += 1;
+  end_offset_ += frame.size();
   unsynced_records_ += 1;
   {
-    // The commit leader reads appended_lsn_ from another thread; publish
-    // the fully-written frame under the barrier mutex.
+    // The commit leader and read_committed() read these from other
+    // threads; publish the fully-written frame under the barrier mutex.
     std::lock_guard lock(commit_->mutex);
     appended_lsn_ = lsn;
+    frame_ends_.push_back(end_offset_);
   }
   const bool want_sync =
       config_.fsync_policy == FsyncPolicy::kEveryRecord ||
@@ -441,6 +470,57 @@ JournalWriter::GroupStats JournalWriter::group_stats() const {
 std::uint64_t JournalWriter::durable_lsn() const {
   std::lock_guard lock(commit_->mutex);
   return commit_->durable_lsn;
+}
+
+util::Result<JournalTail> JournalWriter::read_committed(
+    std::uint64_t from_lsn, std::size_t max_records) const {
+  if (from_lsn < base_lsn_) {
+    return util::fail(ErrorCode::kInternal,
+                      "journal '" + path_ + "' starts at LSN " +
+                          std::to_string(base_lsn_) + ", not " +
+                          std::to_string(from_lsn));
+  }
+  JournalTail out;
+  std::uint64_t last = 0;
+  std::uint64_t begin = 0;
+  std::uint64_t end = 0;
+  {
+    // One hold: the watermark and the offsets bounding the frames under
+    // it.  Every indexed frame was fully written before it was published,
+    // and every frame at or below the watermark was fsynced.
+    std::lock_guard lock(commit_->mutex);
+    out.durable_lsn = commit_->durable_lsn;
+    if (from_lsn > out.durable_lsn || max_records == 0) return out;
+    last = from_lsn + std::min<std::uint64_t>(out.durable_lsn - from_lsn,
+                                              max_records - 1);
+    begin = from_lsn == base_lsn_ ? kFileHeaderSize
+                                  : frame_ends_[from_lsn - base_lsn_ - 1];
+    end = frame_ends_[last - base_lsn_];
+  }
+  const auto corrupt = [&](const std::string& what) {
+    return util::fail(ErrorCode::kParseError,
+                      "journal '" + path_ + "' " + what + " at or below " +
+                          "durable LSN " + std::to_string(out.durable_lsn));
+  };
+  util::Bytes data(end - begin);
+  std::size_t got = 0;
+  while (got < data.size()) {
+    const ssize_t n = ::pread(fd_, data.data() + got, data.size() - got,
+                              static_cast<off_t>(begin + got));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return io_fail("journal read", path_);
+    }
+    if (n == 0) return corrupt("is shorter than its frame index");
+    got += static_cast<std::size_t>(n);
+  }
+  out.records.reserve(last - from_lsn + 1);
+  if (parse_frames(data, from_lsn, out.records) != data.size() ||
+      out.records.size() != last - from_lsn + 1) {
+    out.records.clear();
+    return corrupt("has a frame failing its length or CRC check");
+  }
+  return out;
 }
 
 }  // namespace rproxy::storage

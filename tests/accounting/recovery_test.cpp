@@ -428,6 +428,38 @@ TEST_F(RecoveryTest, GroupCommitCleanRunMatchesEveryRecordState) {
   EXPECT_EQ(bank->account("payee-acct")->balances().balance("usd"), 40);
 }
 
+// The group-commit LSN a journal append leaves pending belongs to the
+// server whose journal assigned it.  A setup API on bank A leaves its
+// record uncommitted (no reply waits on it); an idempotent no-op migration
+// step on bank B, run next on the same thread, must not commit A's LSN
+// against B's journal.
+TEST_F(RecoveryTest, PendingGroupCommitLsnNeverCrossesServers) {
+  world_.add_principal("bank-b");
+  auto bank_a =
+      make_bank(dir_.sub("bank-a"), nullptr, "bank",
+                storage::FsyncPolicy::kGroup);
+  auto bank_b =
+      make_bank(dir_.sub("bank-b"), nullptr, "bank-b",
+                storage::FsyncPolicy::kGroup);
+  accounting::MigrationSpec spec;
+  spec.migration_id = 7;
+  spec.source = "bank-b";
+  spec.target = "bank";
+  ASSERT_TRUE(bank_b->migration_freeze(spec).is_ok());
+  const auto before = bank_b->journal_group_stats();
+  EXPECT_EQ(before.fsyncs, 1u);
+
+  // A's LSNs 1..3 run past B's durable watermark (1).
+  for (int i = 0; i < 3; ++i) {
+    bank_a->open_account("acct-" + std::to_string(i), "alice");
+  }
+  ASSERT_TRUE(bank_b->migration_freeze(spec).is_ok());  // already frozen
+  const auto after = bank_b->journal_group_stats();
+  EXPECT_EQ(after.fsyncs, before.fsyncs) << "B fsynced for A's records";
+  EXPECT_EQ(after.committed, before.committed);
+  EXPECT_EQ(bank_b->journal_durable_lsn(), 1u);
+}
+
 TEST_F(RecoveryTest, RecoverWithoutKeyFails) {
   auto config = world_.accounting_config("bank");
   config.storage_dir = dir_.sub("bank");
