@@ -3,12 +3,15 @@
 // fencing, read-replica staleness, and the promotion ordering guarantee.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "accounting/clearing.hpp"
 #include "accounting/replication/journal_shipper.hpp"
 #include "accounting/replication/standby.hpp"
+#include "storage/crash_point.hpp"
 #include "testing/env.hpp"
 #include "testing/tempdir.hpp"
 
@@ -37,14 +40,19 @@ struct ReplicaWorld {
   std::unique_ptr<JournalShipper> shipper;
   bool semi_sync = false;
 
-  explicit ReplicaWorld(bool with_barrier = false) : semi_sync(with_barrier) {
+  explicit ReplicaWorld(
+      bool with_barrier = false,
+      storage::FsyncPolicy policy = storage::FsyncPolicy::kEveryRecord,
+      storage::CrashPoint* crash = nullptr)
+      : semi_sync(with_barrier) {
     world.add_principal("bank");
     world.add_principal("bankb");
     world.add_principal("alice");
     auto config = world.accounting_config("bank");
     config.storage_dir = tmp.sub("bank");
     config.storage_key = storage_key;
-    config.fsync_policy = storage::FsyncPolicy::kEveryRecord;
+    config.fsync_policy = policy;
+    config.crash_point = crash;
     if (semi_sync) {
       config.replication_barrier = [this](std::uint64_t lsn) {
         return shipper ? shipper->ship_until(lsn) : util::Status::ok();
@@ -150,6 +158,62 @@ TEST(Replication, SemiSyncBarrierWithholdsAcksWhileStandbyUnreachable) {
   auto ok = client.query("bank", "a1");
   ASSERT_TRUE(ok.is_ok()) << ok.status();
   EXPECT_EQ(ok.value().balances.balance("usd"), kInitial - 30);
+}
+
+TEST(Replication, StorageDeathAfterCommitWithholdsTheUnshippedReply) {
+  // A transfer's record is fsynced by its group commit; another append
+  // then kills the store before the transfer's reply reaches the semi-sync
+  // barrier.  A dead store no longer ships, so the reply may be acked only
+  // if the standby already holds the transfer.  The kill races the
+  // reply's way from its commit to the barrier, so each round lands on
+  // either side of the barrier's storage check.
+  constexpr int kRounds = 200;
+  int withheld_after_death = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    storage::CrashPoint crash;
+    ReplicaWorld rw(/*with_barrier=*/true, storage::FsyncPolicy::kGroup,
+                    &crash);
+    rw.open("a1");
+    rw.open("a2");
+    rw.make_standby();
+    ASSERT_TRUE(
+        rw.shipper->ship_until(rw.primary->journal_durable_lsn()).is_ok());
+    auto client = rw.world.accounting_client("alice");
+    const std::uint64_t transfer_lsn = rw.primary->journal_next_lsn();
+    // Write 1 is the transfer's record; write 2, the killer's, dies.
+    storage::CrashPlan plan;
+    plan.seed = static_cast<std::uint64_t>(round) + 1;
+    plan.min_appends = 2;
+    plan.max_appends = 2;
+    crash.arm(plan);
+
+    std::atomic<bool> replied{false};
+    std::thread killer([&] {
+      while (!replied.load() &&
+             rw.primary->journal_durable_lsn() < transfer_lsn) {
+        std::this_thread::yield();
+      }
+      rw.primary->open_account("doomed", "alice", Balances{});
+    });
+    const util::Status status = client.transfer("bank", "a1", "a2", "usd", 10);
+    replied.store(true);
+    killer.join();
+    ASSERT_TRUE(rw.primary->storage_dead());
+    if (status.is_ok()) {
+      EXPECT_EQ(rw.standby->received_lsn(), transfer_lsn);
+      EXPECT_EQ(rw.replica_balance("a2"), kInitial + 10);
+    } else {
+      EXPECT_EQ(status.code(), ErrorCode::kUnavailable) << status;
+      if (status.to_string().find("storage already failed") !=
+          std::string::npos) {
+        ++withheld_after_death;
+      }
+    }
+  }
+  // The race must have landed after the kill at least once, or the
+  // rounds never tested the barrier's storage check.
+  EXPECT_GT(withheld_after_death, 0);
 }
 
 TEST(Replication, BootstrapReseedsStandbyPastCompactedJournal) {
