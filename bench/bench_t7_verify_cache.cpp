@@ -11,7 +11,11 @@
 //   * BM_AppRequestThroughput — full end-server request processing
 //                            (timestamp-mode presentation, possession
 //                            proof, ACL, restrictions, audit) with the
-//                            cache off vs on.
+//                            cache off vs on;
+//   * BM_VerifyIdentity    — verify_identity() of a delegate pk proof with
+//                            the identity-certificate memo off (warm=0:
+//                            name-server signature + proof signature) vs
+//                            hitting (warm=1: proof signature only).
 #include <chrono>
 
 #include "authz/capability.hpp"
@@ -120,6 +124,36 @@ void BM_VerifyCacheSpeedup(benchmark::State& state) {
       benchmark::Counter(warm_us > 0 ? cold_us / warm_us : 0);
 }
 BENCHMARK(BM_VerifyCacheSpeedup)->Iterations(1);
+
+/// verify_identity() of one delegate pk proof, memo off (warm=0) or
+/// hitting (warm=1).  The verifier has no replay cache, so the same proof
+/// verifies on every iteration.
+void BM_VerifyIdentity(benchmark::State& state) {
+  const bool warm = state.range(0) != 0;
+  testing::World world;
+  world.add_principal("bob");
+  world.add_principal("file-server");
+  const util::Bytes challenge(32, 0x5a);
+  const util::Bytes digest(32, 0xa5);
+  const testing::Principal& bob = world.principal("bob");
+  const core::PossessionProof proof = core::prove_delegate_pk(
+      bob.cert, bob.identity, challenge, "file-server", world.clock.now(),
+      digest);
+  const core::ProxyVerifier verifier = make_verifier(world, warm ? 1024 : 0);
+
+  for (auto _ : state) {
+    auto who =
+        verifier.verify_identity(proof, challenge, digest, world.clock.now());
+    benchmark::DoNotOptimize(who);
+    if (!who.is_ok()) state.SkipWithError("verify_identity failed");
+  }
+  const core::ChainCacheStats stats = verifier.cache_stats();
+  state.counters["memo_hits"] =
+      benchmark::Counter(static_cast<double>(stats.identity_hits));
+  state.counters["memo_misses"] =
+      benchmark::Counter(static_cast<double>(stats.identity_misses));
+}
+BENCHMARK(BM_VerifyIdentity)->Arg(0)->Arg(1)->ArgName("warm");
 
 /// Whole end-server request path (timestamp-mode presentation of a depth-4
 /// capability chain), cache off (0) vs on (1).

@@ -1,6 +1,7 @@
 #include "accounting/accounting_server.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "core/request.hpp"
 #include "crypto/random.hpp"
@@ -530,6 +531,8 @@ util::Status AccountingServer::restore_(const crypto::SymmetricKey& key,
   certified_ = std::move(certified);
   completed_deposits_ = std::move(deposits);
   completed_certifies_ = std::move(certifies);
+  // Unknown until walked: the next request's purge recomputes it.
+  next_purge_at_ = std::numeric_limits<util::TimePoint>::min();
   routes_ = std::move(routes);
   frozen_ = std::move(frozen);
   applied_migrations_ = std::move(applied_migrations);
@@ -1094,6 +1097,7 @@ util::Status AccountingServer::apply_certify_(const CertifyRecord& rec,
       acct->place_hold(rec.currency, static_cast<std::int64_t>(rec.amount)));
   certified_[key] = CertifiedHold{rec.payor, rec.account, rec.currency,
                                   rec.amount, rec.hold_until};
+  next_purge_at_ = std::min(next_purge_at_, rec.hold_until);
   if (config_.enable_dedup) {
     record_completed_(completed_certifies_, key,
                       util::Bytes(rec.reply_payload), rec.hold_until, now);
@@ -1203,6 +1207,7 @@ void AccountingServer::apply_migrate_in_(const MigrateInRecord& rec) {
       certified_[{hold.payor, hold.check_number}] =
           CertifiedHold{hold.payor, migrated.name, hold.currency, hold.amount,
                         hold.expires_at};
+      next_purge_at_ = std::min(next_purge_at_, hold.expires_at);
     }
   }
   if (config_.enable_dedup) {
@@ -2096,6 +2101,9 @@ util::Result<DepositReplyPayload> AccountingServer::collect_foreign_(
 
 void AccountingServer::purge_expired_holds_(util::TimePoint now) {
   std::lock_guard lock(state_mutex_);
+  // Nothing is due yet: every entry expires at or after next_purge_at_.
+  if (now <= next_purge_at_) return;
+  util::TimePoint next = std::numeric_limits<util::TimePoint>::max();
   for (auto it = certified_.begin(); it != certified_.end();) {
     if (it->second.expires_at < now) {
       if (Account* acct = find_account_(it->second.account)) {
@@ -2104,6 +2112,7 @@ void AccountingServer::purge_expired_holds_(util::TimePoint now) {
       }
       it = certified_.erase(it);
     } else {
+      next = std::min(next, it->second.expires_at);
       ++it;
     }
   }
@@ -2112,9 +2121,15 @@ void AccountingServer::purge_expired_holds_(util::TimePoint now) {
   // the remembered check number.
   for (DedupTable* table : {&completed_deposits_, &completed_certifies_}) {
     for (auto it = table->begin(); it != table->end();) {
-      it = it->second.expires_at < now ? table->erase(it) : std::next(it);
+      if (it->second.expires_at < now) {
+        it = table->erase(it);
+      } else {
+        next = std::min(next, it->second.expires_at);
+        ++it;
+      }
     }
   }
+  next_purge_at_ = next;
 }
 
 const AccountingServer::CompletedOp* AccountingServer::find_completed_(
@@ -2128,19 +2143,26 @@ void AccountingServer::record_completed_(DedupTable& table, DedupKey key,
                                          util::TimePoint expires_at,
                                          util::TimePoint now) {
   if (table.size() >= config_.dedup_capacity) {
+    // One walk drops the expired entries and finds the backstop victim
+    // among the rest: the entry closest to expiry (it is the one a retry
+    // is least likely to still need), evicted when nothing has expired.
+    auto victim = table.end();
     for (auto it = table.begin(); it != table.end();) {
-      it = it->second.expires_at < now ? table.erase(it) : std::next(it);
-    }
-    // Backstop when nothing has expired: evict the entry closest to
-    // expiry (it is the one a retry is least likely to still need).
-    if (table.size() >= config_.dedup_capacity) {
-      auto victim = table.begin();
-      for (auto it = table.begin(); it != table.end(); ++it) {
-        if (it->second.expires_at < victim->second.expires_at) victim = it;
+      if (it->second.expires_at < now) {
+        it = table.erase(it);
+        continue;
       }
+      if (victim == table.end() ||
+          it->second.expires_at < victim->second.expires_at) {
+        victim = it;
+      }
+      ++it;
+    }
+    if (table.size() >= config_.dedup_capacity && victim != table.end()) {
       table.erase(victim);
     }
   }
+  next_purge_at_ = std::min(next_purge_at_, expires_at);
   table.insert_or_assign(std::move(key),
                          CompletedOp{std::move(reply_payload), expires_at});
 }

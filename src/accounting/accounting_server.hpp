@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -791,6 +792,11 @@ class AccountingServer final : public net::Node {
   /// log a restarted server needs to keep honoring retried operations.
   DedupTable completed_deposits_;
   DedupTable completed_certifies_;
+  /// Lower bound on every expires_at in certified_ and the two dedup
+  /// tables (guarded by state_mutex_): purge_expired_holds_ returns at once
+  /// while now <= it.  Inserts lower it; removals leave it early, which
+  /// costs one walk that recomputes it.
+  util::TimePoint next_purge_at_ = std::numeric_limits<util::TimePoint>::max();
   /// Active migration freezes on this source, keyed by migration id.
   /// Accounts in a frozen range answer kWrongShard until evacuation.
   std::map<std::uint64_t, MigrationSpec> frozen_;

@@ -24,6 +24,10 @@ ProxyVerifier::ProxyVerifier(Config config) : config_(std::move(config)) {
     cache_ = std::make_unique<ChainVerifyCache>(config_.verify_cache_capacity,
                                                 config_.verify_cache_ttl,
                                                 config_.revocation);
+    if (config_.pk_root.has_value()) {
+      identity_memo_ =
+          std::make_unique<IdentityCertMemo>(config_.verify_cache_capacity);
+    }
   }
 }
 
@@ -32,11 +36,14 @@ ProxyVerifier::ProxyVerifier(ProxyVerifier&&) noexcept = default;
 ProxyVerifier& ProxyVerifier::operator=(ProxyVerifier&&) noexcept = default;
 
 ChainCacheStats ProxyVerifier::cache_stats() const {
-  return cache_ ? cache_->stats() : ChainCacheStats{};
+  ChainCacheStats stats = cache_ ? cache_->stats() : ChainCacheStats{};
+  if (identity_memo_) identity_memo_->add_stats(stats);
+  return stats;
 }
 
 void ProxyVerifier::clear_cache() {
   if (cache_) cache_->clear();
+  if (identity_memo_) identity_memo_->clear();
 }
 
 util::Result<VerifiedProxy> ProxyVerifier::verify_chain(
@@ -47,11 +54,17 @@ util::Result<VerifiedProxy> ProxyVerifier::verify_chain(
           cache_->lookup(key, now, config_.max_skew)) {
     return std::move(*hit);
   }
+  // Read before verifying: insert() stores the outcome only if no
+  // revocation landed while the links were being checked.
+  const std::uint64_t version =
+      config_.revocation != nullptr ? config_.revocation->version() : 0;
   util::Result<VerifiedProxy> verified = verify_chain_uncached_(chain, now);
   // Only successful verifications are remembered: a rejection stays as
   // cheap or expensive as it was, and no attacker-chosen garbage occupies
   // cache slots.
-  if (verified.is_ok()) cache_->insert(key, chain, verified.value(), now);
+  if (verified.is_ok()) {
+    cache_->insert(key, chain, verified.value(), now, version);
+  }
   return verified;
 }
 
@@ -309,6 +322,22 @@ util::Result<VerifiedProxy> ProxyVerifier::verify_pk_chain_(
   return out;
 }
 
+util::Status ProxyVerifier::verify_identity_cert_(
+    const pki::IdentityCert& cert, util::TimePoint now) const {
+  if (!identity_memo_) {
+    return pki::verify_identity_cert(cert, *config_.pk_root, now);
+  }
+  const crypto::Digest key = IdentityCertMemo::key_of(*config_.pk_root, cert);
+  // A hit proves only that these exact bytes carry a good issuer
+  // signature; the validity window depends on `now` and always re-runs.
+  if (identity_memo_->contains(key)) {
+    return pki::check_identity_cert_window(cert, now);
+  }
+  util::Status status = pki::verify_identity_cert(cert, *config_.pk_root, now);
+  if (status.is_ok()) identity_memo_->insert(key);
+  return status;
+}
+
 util::Result<std::vector<PrincipalName>> ProxyVerifier::verify_identity(
     const PossessionProof& proof, util::BytesView challenge,
     util::BytesView request_digest, util::TimePoint now) const {
@@ -325,9 +354,10 @@ util::Result<std::vector<PrincipalName>> ProxyVerifier::verify_possession(
     const VerifiedProxy& verified, const PossessionProof& proof,
     util::BytesView challenge, util::BytesView request_digest,
     util::TimePoint now) const {
-  const util::Duration skew = proof.timestamp > now ? proof.timestamp - now
-                                                    : now - proof.timestamp;
-  if (skew > config_.max_skew) {
+  // Bounds rather than |timestamp - now|: the timestamp is attacker
+  // bytes, and the difference could overflow.
+  if (proof.timestamp > now + config_.max_skew ||
+      proof.timestamp < now - config_.max_skew) {
     return util::fail(ErrorCode::kExpired, "possession proof not fresh");
   }
   const util::Bytes transcript =
@@ -388,11 +418,13 @@ util::Result<std::vector<PrincipalName>> ProxyVerifier::verify_possession(
       RPROXY_ASSIGN_OR_RETURN(
           pki::PkAuthProof pk_proof,
           wire::decode_from_bytes<pki::PkAuthProof>(proof.blob));
-      RPROXY_ASSIGN_OR_RETURN(
-          PrincipalName who,
-          pki::verify_pk_auth(pk_proof, *config_.pk_root, transcript,
-                              config_.server_name, now, config_.max_skew));
-      return std::vector<PrincipalName>{who};
+      // pki::verify_pk_auth in two halves, so the certificate half can
+      // be memoized; the proof half runs on every request.
+      RPROXY_RETURN_IF_ERROR(verify_identity_cert_(pk_proof.cert, now));
+      RPROXY_RETURN_IF_ERROR(pki::verify_pk_proof(pk_proof, transcript,
+                                                  config_.server_name, now,
+                                                  config_.max_skew));
+      return std::vector<PrincipalName>{pk_proof.cert.subject};
     }
   }
   return util::fail(ErrorCode::kParseError, "unknown proof kind");

@@ -16,9 +16,11 @@
 namespace rproxy::core {
 
 class ChainVerifyCache;
+class IdentityCertMemo;
 class RevocationRegistry;
 
-/// Counters of the verified-chain cache (zeros when the cache is disabled).
+/// Counters of the verified-chain cache and the identity-certificate memo
+/// (zeros when verify_cache_capacity is 0).
 struct ChainCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -31,6 +33,12 @@ struct ChainCacheStats {
   /// the caller falls through to full re-verification.
   std::uint64_t revocation_stale_drops = 0;
   std::size_t size = 0;
+  /// Identity-certificate memo: delegate pk proofs whose certificate's
+  /// name-server signature was already checked (hits) or had to be
+  /// checked (misses), and the number of certificates remembered.
+  std::uint64_t identity_hits = 0;
+  std::uint64_t identity_misses = 0;
+  std::size_t identity_size = 0;
 };
 
 /// Resolves principal names to identity verification keys (public-key
@@ -96,7 +104,10 @@ class ProxyVerifier {
     /// Verified-chain cache: byte-identical chains skip signature, MAC and
     /// ticket re-verification.  Time validity, possession proofs, replay
     /// and accept-once checks, and restriction evaluation always re-run
-    /// per presentation.  0 disables the cache (A/B in tests and benches).
+    /// per presentation.  Also bounds the identity-certificate memo
+    /// (byte-identical certificates in delegate pk proofs skip the name
+    /// server's signature check, nothing else).  0 disables both (A/B in
+    /// tests and benches).
     std::size_t verify_cache_capacity = 1024;
     /// Bounded reuse window for cached verifications.  With a
     /// RevocationRegistry attached this is defence in depth only —
@@ -141,12 +152,14 @@ class ProxyVerifier {
 
   [[nodiscard]] const Config& config() const { return config_; }
 
-  /// Counters of the verified-chain cache; all-zero when disabled.
+  /// Counters of the verified-chain cache and the identity-certificate
+  /// memo; all-zero when disabled.
   [[nodiscard]] ChainCacheStats cache_stats() const;
 
-  /// Drops every cached verification.  A blunt instrument kept for tests
-  /// and operational resets; revocation no longer needs it — a registry
-  /// event invalidates exactly the affected entries on their next lookup.
+  /// Drops every cached verification and remembered certificate.  A blunt
+  /// instrument kept for tests and operational resets; revocation no
+  /// longer needs it — a registry event invalidates exactly the affected
+  /// entries on their next lookup.
   void clear_cache();
 
  private:
@@ -156,11 +169,18 @@ class ProxyVerifier {
       const ProxyChain& chain, util::TimePoint now) const;
   [[nodiscard]] util::Result<VerifiedProxy> verify_pk_chain_(
       const ProxyChain& chain, util::TimePoint now) const;
+  /// pki::verify_identity_cert against config_.pk_root, skipping the
+  /// issuer signature when the memo has already seen these exact bytes.
+  [[nodiscard]] util::Status verify_identity_cert_(
+      const pki::IdentityCert& cert, util::TimePoint now) const;
 
   Config config_;
   /// Internally synchronized; mutable because a cache probe does not change
   /// the observable verification outcome.
   mutable std::unique_ptr<ChainVerifyCache> cache_;
+  /// Internally synchronized, like cache_; null when disabled or when no
+  /// pk_root is configured.
+  mutable std::unique_ptr<IdentityCertMemo> identity_memo_;
 };
 
 }  // namespace rproxy::core

@@ -71,11 +71,33 @@ std::optional<VerifiedProxy> ChainVerifyCache::lookup(
 void ChainVerifyCache::insert(const crypto::Digest& key,
                               const ProxyChain& chain,
                               const VerifiedProxy& verified,
-                              util::TimePoint now) {
+                              util::TimePoint now,
+                              std::uint64_t verified_version) {
   if (capacity_ == 0) return;
   util::TimePoint max_issued_at = 0;
   for (const ProxyCertificate& cert : chain.certs) {
     max_issued_at = std::max(max_issued_at, cert.issued_at);
+  }
+  std::vector<std::pair<PrincipalName, std::uint64_t>> grantor_epochs;
+  if (revocation_ != nullptr) {
+    // Every NAMED principal whose standing the verification relied on: the
+    // root grantor plus intermediate identities.  Anonymous bearer links
+    // have no name to track; revoking one goes through the root grantor's
+    // certificate list, which bumps the root's epoch.
+    std::vector<PrincipalName> grantors;
+    grantors.push_back(verified.grantor);
+    for (const PrincipalName& name : verified.audit_trail) {
+      if (name != verified.grantor) grantors.push_back(name);
+    }
+    // A revocation that landed between a link's check and this snapshot
+    // was not seen by the verification, yet its epoch bump would be
+    // recorded here as current.  The registry bumps its version under the
+    // same lock as its state, so an unchanged version proves nothing
+    // landed; otherwise the outcome goes to this caller only.
+    if (revocation_->snapshot_epochs(grantors, grantor_epochs) !=
+        verified_version) {
+      return;
+    }
   }
 
   std::lock_guard lock(mutex_);
@@ -89,19 +111,8 @@ void ChainVerifyCache::insert(const crypto::Digest& key,
   it->second.value = verified;
   it->second.max_issued_at = max_issued_at;
   it->second.cached_until = now + ttl_;
-  if (revocation_ != nullptr) {
-    // Every NAMED principal whose standing the verification relied on: the
-    // root grantor plus intermediate identities.  Anonymous bearer links
-    // have no name to track; revoking one goes through the root grantor's
-    // certificate list, which bumps the root's epoch.
-    std::vector<PrincipalName> grantors;
-    grantors.push_back(verified.grantor);
-    for (const PrincipalName& name : verified.audit_trail) {
-      if (name != verified.grantor) grantors.push_back(name);
-    }
-    it->second.revocation_version =
-        revocation_->snapshot_epochs(grantors, it->second.grantor_epochs);
-  }
+  it->second.grantor_epochs = std::move(grantor_epochs);
+  it->second.revocation_version = verified_version;
   while (map_.size() > capacity_) {
     map_.erase(lru_.back());
     lru_.pop_back();
@@ -125,6 +136,54 @@ ChainCacheStats ChainVerifyCache::stats() const {
   s.revocation_stale_drops = revocation_stale_drops_;
   s.size = map_.size();
   return s;
+}
+
+IdentityCertMemo::IdentityCertMemo(std::size_t capacity)
+    : capacity_(capacity) {}
+
+crypto::Digest IdentityCertMemo::key_of(const crypto::VerifyKey& root,
+                                        const pki::IdentityCert& cert) {
+  wire::Encoder enc;
+  enc.bytes(root.view());
+  cert.encode(enc);
+  return crypto::sha256(enc.view());
+}
+
+bool IdentityCertMemo::contains(const crypto::Digest& key) {
+  std::lock_guard lock(mutex_);
+  auto it = map_.find(key);
+  if (it == map_.end()) {
+    misses_ += 1;
+    return false;
+  }
+  lru_.splice(lru_.begin(), lru_, it->second);
+  hits_ += 1;
+  return true;
+}
+
+void IdentityCertMemo::insert(const crypto::Digest& key) {
+  std::lock_guard lock(mutex_);
+  auto [it, inserted] = map_.try_emplace(key);
+  if (!inserted) return;  // a concurrent miss on the same cert got here first
+  lru_.push_front(key);
+  it->second = lru_.begin();
+  if (map_.size() > capacity_) {
+    map_.erase(lru_.back());
+    lru_.pop_back();
+  }
+}
+
+void IdentityCertMemo::clear() {
+  std::lock_guard lock(mutex_);
+  map_.clear();
+  lru_.clear();
+}
+
+void IdentityCertMemo::add_stats(ChainCacheStats& stats) const {
+  std::lock_guard lock(mutex_);
+  stats.identity_hits += hits_;
+  stats.identity_misses += misses_;
+  stats.identity_size += map_.size();
 }
 
 }  // namespace rproxy::core

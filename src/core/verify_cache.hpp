@@ -39,6 +39,16 @@
 
 namespace rproxy::core {
 
+/// unordered_map hash for SHA-256 digests.
+struct DigestHash {
+  std::size_t operator()(const crypto::Digest& d) const {
+    // SHA-256 output is uniform; the first eight octets are a fine hash.
+    std::size_t h = 0;
+    for (int i = 0; i < 8; ++i) h = (h << 8) | d[static_cast<size_t>(i)];
+    return h;
+  }
+};
+
 class ChainVerifyCache {
  public:
   /// `capacity` bounds the number of cached chains (LRU eviction);
@@ -62,23 +72,19 @@ class ChainVerifyCache {
                                                     util::TimePoint now,
                                                     util::Duration max_skew);
 
-  /// Remembers a successful verification of `chain`.
+  /// Remembers a successful verification of `chain`.  `verified_version`
+  /// is the revocation registry's version() read BEFORE the verification
+  /// began: if any revocation landed since, the outcome may have been
+  /// judged against the old state, so it is not stored.
   void insert(const crypto::Digest& key, const ProxyChain& chain,
-              const VerifiedProxy& verified, util::TimePoint now);
+              const VerifiedProxy& verified, util::TimePoint now,
+              std::uint64_t verified_version);
 
   void clear();
 
   [[nodiscard]] ChainCacheStats stats() const;
 
  private:
-  struct DigestHash {
-    std::size_t operator()(const crypto::Digest& d) const {
-      // SHA-256 output is uniform; the first eight octets are a fine hash.
-      std::size_t h = 0;
-      for (int i = 0; i < 8; ++i) h = (h << 8) | d[static_cast<size_t>(i)];
-      return h;
-    }
-  };
   struct Entry {
     VerifiedProxy value;
     /// Latest issuance instant along the chain — re-checked against
@@ -109,6 +115,46 @@ class ChainVerifyCache {
   std::uint64_t evictions_ = 0;
   std::uint64_t expired_drops_ = 0;
   std::uint64_t revocation_stale_drops_ = 0;
+};
+
+/// Identity certificates whose name-server signature this verifier has
+/// already checked.  Delegate identity proofs (§6) carry the grantee's
+/// certificate on every request, byte for byte the same each time; the
+/// issuer signature over it is a pure function of those bytes and the
+/// root key, so re-checking it re-derives a value already in hand.  A hit
+/// skips ONLY that signature check: the caller still checks the validity
+/// window against `now`, the proof's freshness and the proof's own
+/// signature.  Bounded LRU; holds digests only.
+class IdentityCertMemo {
+ public:
+  explicit IdentityCertMemo(std::size_t capacity);
+
+  /// SHA-256 over the root key and the certificate's complete encoding,
+  /// signature included.  One flipped byte anywhere gives another key.
+  [[nodiscard]] static crypto::Digest key_of(const crypto::VerifyKey& root,
+                                             const pki::IdentityCert& cert);
+
+  /// True when `key`'s issuer signature was checked before (and refreshes
+  /// its LRU position).  Counts a hit or a miss.
+  [[nodiscard]] bool contains(const crypto::Digest& key);
+
+  /// Remembers a certificate whose full check succeeded.
+  void insert(const crypto::Digest& key);
+
+  void clear();
+
+  /// Adds this memo's counters to `stats`.
+  void add_stats(ChainCacheStats& stats) const;
+
+ private:
+  std::size_t capacity_;
+  mutable std::mutex mutex_;
+  std::list<crypto::Digest> lru_;  ///< front = most recently used
+  std::unordered_map<crypto::Digest, std::list<crypto::Digest>::iterator,
+                     DigestHash>
+      map_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
 };
 
 }  // namespace rproxy::core

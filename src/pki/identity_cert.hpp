@@ -41,4 +41,11 @@ struct IdentityCert {
     const IdentityCert& cert, const crypto::VerifyKey& issuer_key,
     util::TimePoint now);
 
+/// The validity-window half of verify_identity_cert: kExpired unless
+/// issued_at <= now <= expires_at.  Checks no signature, so on its own it
+/// proves nothing; a verifier that remembers which certificates' issuer
+/// signatures it has already checked re-runs only this part.
+[[nodiscard]] util::Status check_identity_cert_window(const IdentityCert& cert,
+                                                      util::TimePoint now);
+
 }  // namespace rproxy::pki

@@ -47,16 +47,24 @@ util::Result<PrincipalName> verify_pk_auth(
     util::TimePoint now, util::Duration max_skew) {
   RPROXY_RETURN_IF_ERROR(
       verify_identity_cert(proof.cert, name_server_root, now));
-  const util::Duration skew = proof.timestamp > now ? proof.timestamp - now
-                                                    : now - proof.timestamp;
-  if (skew > max_skew) {
+  RPROXY_RETURN_IF_ERROR(
+      verify_pk_proof(proof, challenge, server, now, max_skew));
+  return proof.cert.subject;
+}
+
+util::Status verify_pk_proof(const PkAuthProof& proof,
+                             util::BytesView challenge,
+                             const PrincipalName& server, util::TimePoint now,
+                             util::Duration max_skew) {
+  // Bounds on the timestamp rather than |timestamp - now|: the timestamp
+  // is attacker bytes, and the difference could overflow.
+  if (proof.timestamp > now + max_skew || proof.timestamp < now - max_skew) {
     return util::fail(util::ErrorCode::kExpired, "pk-auth proof not fresh");
   }
-  RPROXY_RETURN_IF_ERROR(crypto::verify_status(
+  return crypto::verify_status(
       proof.cert.public_key,
       transcript(challenge, server, proof.timestamp), proof.signature,
-      "pk-auth proof"));
-  return proof.cert.subject;
+      "pk-auth proof");
 }
 
 }  // namespace rproxy::pki

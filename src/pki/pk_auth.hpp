@@ -29,10 +29,20 @@ struct PkAuthProof {
 
 /// Server-side check: certificate chains to `name_server_root`, signature
 /// covers this server's challenge, timestamp within `max_skew` of `now`.
-/// Returns the authenticated principal name.
+/// Returns the authenticated principal name.  Exactly
+/// verify_identity_cert(proof.cert, ...) followed by verify_pk_proof.
 [[nodiscard]] util::Result<PrincipalName> verify_pk_auth(
     const PkAuthProof& proof, const crypto::VerifyKey& name_server_root,
     util::BytesView challenge, const PrincipalName& server,
     util::TimePoint now, util::Duration max_skew = 2 * util::kMinute);
+
+/// The proof half of verify_pk_auth: timestamp within `max_skew` of `now`
+/// and a signature by the certificate's key over this challenge and
+/// server.  Does NOT check the certificate itself — the caller must have
+/// established that `proof.cert` is genuine and valid at `now`.
+[[nodiscard]] util::Status verify_pk_proof(
+    const PkAuthProof& proof, util::BytesView challenge,
+    const PrincipalName& server, util::TimePoint now,
+    util::Duration max_skew = 2 * util::kMinute);
 
 }  // namespace rproxy::pki

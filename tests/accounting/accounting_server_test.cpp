@@ -415,5 +415,52 @@ TEST_F(CertifiedCheckTest, ExpiredHoldReleased) {
   EXPECT_EQ(bank2_->account("client-account")->available("usd"), 100);
 }
 
+TEST_F(CertifiedCheckTest, DueHoldPurgedAmongManyLiveEntries) {
+  // Hundreds of live holds and dedup entries, one due: the first request
+  // after the due time must release that hold and drop its dedup entry,
+  // and leave every live one alone.
+  constexpr int kLive = 300;
+  bank2_->open_account("big-account", "client",
+                       accounting::Balances{{"usd", 10'000}});
+  auto client = world_.accounting_client("client");
+  for (int i = 0; i < kLive; ++i) {
+    ASSERT_TRUE(client
+                    .certify("bank2", "big-account", "app-server", "usd", 1,
+                             1000 + static_cast<std::uint64_t>(i),
+                             "app-server", world_.clock.now() + util::kHour)
+                    .is_ok());
+  }
+  auto due = client.certify("bank2", "big-account", "app-server", "usd", 40,
+                            999, "app-server",
+                            world_.clock.now() + 10 * util::kMinute);
+  ASSERT_TRUE(due.is_ok()) << due.status();
+  EXPECT_EQ(bank2_->account("big-account")->held("usd"), kLive + 40);
+
+  // Not yet due: requests leave everything in place.
+  world_.clock.advance(5 * util::kMinute);
+  ASSERT_TRUE(client.query("bank2", "big-account").is_ok());
+  EXPECT_EQ(bank2_->account("big-account")->held("usd"), kLive + 40);
+
+  const crypto::SymmetricKey key = crypto::SymmetricKey::generate();
+  const util::Bytes before = bank2_->snapshot(key);
+  world_.clock.advance(10 * util::kMinute);
+  ASSERT_TRUE(client.query("bank2", "big-account").is_ok());
+  EXPECT_EQ(bank2_->account("big-account")->held("usd"), kLive);
+  // The certified entry and its remembered reply left the snapshot.
+  const util::Bytes after = bank2_->snapshot(key);
+  ASSERT_LT(after.size(), before.size());
+  EXPECT_GT(before.size() - after.size(),
+            wire::encode_to_bytes(due.value()).size());
+
+  // A retry of the purged certification is a new one, not a replay.
+  ASSERT_TRUE(client
+                  .certify("bank2", "big-account", "app-server", "usd", 7,
+                           999, "app-server",
+                           world_.clock.now() + util::kHour)
+                  .is_ok());
+  EXPECT_EQ(bank2_->deduped_replies(), 0u);
+  EXPECT_EQ(bank2_->account("big-account")->held("usd"), kLive + 7);
+}
+
 }  // namespace
 }  // namespace rproxy

@@ -11,6 +11,7 @@
 #include "authz/capability.hpp"
 #include "core/revocation_id.hpp"
 #include "core/verifier.hpp"
+#include "crypto/random.hpp"
 #include "server/file_server.hpp"
 #include "testing/env.hpp"
 
@@ -296,6 +297,251 @@ TEST_F(VerifyCacheTest, CertRevocationKillsOneChainNotTheGrantor) {
   EXPECT_EQ(verifier.cache_stats().revocation_stale_drops, 2u);
 }
 
+TEST_F(VerifyCacheTest, RevocationDuringVerificationIsNotCached) {
+  // A revocation that lands after a link's revocation check but before the
+  // outcome is cached must not be stamped current.  The resolver fires it
+  // deterministically: the root link (alice) has been checked by the time
+  // the delegate link's signer (bob) is resolved.
+  world_.add_principal("bob");
+  core::RestrictionSet named;
+  named.add(core::GranteeRestriction{{"bob"}, 1});
+  const util::TimePoint granted = world_.clock.now();
+  const core::Proxy root = core::grant_pk_proxy(
+      "alice", world_.principal("alice").identity, named, granted,
+      util::kHour);
+  const core::Proxy chain =
+      core::extend_delegate(root, "bob", world_.principal("bob").identity,
+                            one_quota(5), granted, util::kHour)
+          .value();
+
+  class RevokingResolver final : public core::KeyResolver {
+   public:
+    RevokingResolver(World& world, util::TimePoint cutoff)
+        : world_(world), cutoff_(cutoff) {}
+    util::Result<crypto::VerifyKey> resolve(
+        const PrincipalName& name) const override {
+      if (name == "bob" && armed_) {
+        armed_ = false;
+        world_.revocation.revoke_grants_before("alice", cutoff_);
+      }
+      return world_.resolver.resolve(name);
+    }
+    mutable bool armed_ = true;
+
+   private:
+    World& world_;
+    util::TimePoint cutoff_;
+  };
+  const RevokingResolver resolver(world_, granted + 1);
+
+  core::ProxyVerifier::Config vc;
+  vc.server_name = "file-server";
+  vc.resolver = &resolver;
+  vc.verify_cache_capacity = 1024;
+  vc.verify_cache_ttl = util::kHour;
+  vc.revocation = &world_.revocation;
+  const core::ProxyVerifier verifier(std::move(vc));
+
+  // The racing verification itself may pass: alice's link was checked
+  // before the cut.
+  ASSERT_TRUE(verifier.verify_chain(chain.chain, world_.clock.now()).is_ok());
+  ASSERT_FALSE(resolver.armed_);
+  EXPECT_EQ(verifier.cache_stats().size, 0u);
+
+  // But the next presentation sees the cut.
+  auto again = verifier.verify_chain(chain.chain, world_.clock.now());
+  ASSERT_FALSE(again.is_ok());
+  EXPECT_EQ(again.status().code(), util::ErrorCode::kRevoked);
+  EXPECT_EQ(verifier.cache_stats().hits, 0u);
+}
+
+// --- Identity-certificate memo: skips only the name server's signature ---
+
+class IdentityMemoTest : public VerifyCacheTest {
+ protected:
+  IdentityMemoTest() { world_.add_principal("mallory"); }
+
+  core::PossessionProof prove(const pki::IdentityCert& cert,
+                              const crypto::SigningKeyPair& key,
+                              util::TimePoint at,
+                              const PrincipalName& server = "file-server") {
+    return core::prove_delegate_pk(cert, key, challenge_, server, at,
+                                   rdigest_);
+  }
+
+  util::Result<std::vector<PrincipalName>> check(
+      const core::ProxyVerifier& verifier, const core::PossessionProof& proof,
+      util::TimePoint at) {
+    return verifier.verify_identity(proof, challenge_, rdigest_, at);
+  }
+
+  /// The same proof against a memo-warm and a memo-less verifier: both
+  /// must reject, with the same code.
+  void expect_both_reject(const core::PossessionProof& proof,
+                          util::TimePoint at, util::ErrorCode code) {
+    auto warm = check(cached_, proof, at);
+    auto cold = check(uncached_, proof, at);
+    ASSERT_FALSE(warm.is_ok());
+    ASSERT_FALSE(cold.is_ok());
+    EXPECT_EQ(warm.status().code(), code) << warm.status();
+    EXPECT_EQ(warm.status().to_string(), cold.status().to_string());
+  }
+
+  void warm_memo() {
+    const core::PossessionProof proof =
+        prove(alice().cert, alice().identity, world_.clock.now());
+    ASSERT_TRUE(check(cached_, proof, world_.clock.now()).is_ok());
+    ASSERT_EQ(cached_.cache_stats().identity_size, 1u);
+  }
+
+  const testing::Principal& alice() { return world_.principal("alice"); }
+
+  util::Bytes challenge_ = crypto::random_bytes(32);
+  util::Bytes rdigest_ = crypto::random_bytes(32);
+  core::ProxyVerifier cached_ = make_verifier(1024);
+  core::ProxyVerifier uncached_ = make_verifier(0);
+};
+
+TEST_F(IdentityMemoTest, WarmHitSkipsCertificateSignature) {
+  for (int i = 0; i < 3; ++i) {
+    const core::PossessionProof proof =
+        prove(alice().cert, alice().identity, world_.clock.now());
+    auto who = check(cached_, proof, world_.clock.now());
+    ASSERT_TRUE(who.is_ok()) << who.status();
+    EXPECT_EQ(who.value(), std::vector<PrincipalName>{"alice"});
+  }
+  const core::ChainCacheStats stats = cached_.cache_stats();
+  EXPECT_EQ(stats.identity_misses, 1u);
+  EXPECT_EQ(stats.identity_hits, 2u);
+  EXPECT_EQ(stats.identity_size, 1u);
+  // The chain cache's own counters are untouched.
+  EXPECT_EQ(stats.hits + stats.misses, 0u);
+}
+
+TEST_F(IdentityMemoTest, TamperedCertificateRejectedOnWarmMemo) {
+  warm_memo();
+  const crypto::SigningKeyPair& mallory = world_.principal("mallory").identity;
+  // Each field of alice's certificate, altered; the proof is signed with
+  // the key the altered certificate names, so only the certificate's
+  // issuer signature stands between the attacker and acceptance.
+  std::vector<std::pair<pki::IdentityCert, const crypto::SigningKeyPair*>>
+      forged;
+  pki::IdentityCert cert = alice().cert;
+  cert.subject = "alicf";
+  forged.emplace_back(cert, &alice().identity);
+  cert = alice().cert;
+  cert.public_key = mallory.public_key();
+  forged.emplace_back(cert, &mallory);
+  cert = alice().cert;
+  cert.issuer = cert.issuer + "x";
+  forged.emplace_back(cert, &alice().identity);
+  cert = alice().cert;
+  cert.issued_at -= 1;
+  forged.emplace_back(cert, &alice().identity);
+  cert = alice().cert;
+  cert.expires_at += util::kHour;
+  forged.emplace_back(cert, &alice().identity);
+  cert = alice().cert;
+  cert.signature[7] ^= 0x01;
+  forged.emplace_back(cert, &alice().identity);
+
+  for (const auto& [bad, key] : forged) {
+    expect_both_reject(prove(bad, *key, world_.clock.now()),
+                       world_.clock.now(), util::ErrorCode::kBadSignature);
+  }
+  const core::ChainCacheStats stats = cached_.cache_stats();
+  EXPECT_EQ(stats.identity_hits, 0u);
+  EXPECT_EQ(stats.identity_misses, 1u + forged.size());
+  // Failed checks are never remembered.
+  EXPECT_EQ(stats.identity_size, 1u);
+}
+
+TEST_F(IdentityMemoTest, ValidityWindowCheckedOnEveryHit) {
+  warm_memo();
+  // Not yet valid: an instant before the certificate was issued.
+  const util::TimePoint early = alice().cert.issued_at - util::kMinute;
+  expect_both_reject(prove(alice().cert, alice().identity, early), early,
+                     util::ErrorCode::kExpired);
+  // Expired: past the name server's 8-hour lifetime.
+  world_.clock.advance(9 * util::kHour);
+  const util::TimePoint late = world_.clock.now();
+  expect_both_reject(prove(alice().cert, alice().identity, late), late,
+                     util::ErrorCode::kExpired);
+  // Both rejections came from memo hits, not from re-checking the
+  // issuer signature.
+  EXPECT_EQ(cached_.cache_stats().identity_hits, 2u);
+  EXPECT_EQ(cached_.cache_stats().identity_misses, 1u);
+}
+
+TEST_F(IdentityMemoTest, ProofCheckedOnEveryHit) {
+  warm_memo();
+  const util::TimePoint now = world_.clock.now();
+  // Wrong challenge.
+  {
+    const core::PossessionProof proof = core::prove_delegate_pk(
+        alice().cert, alice().identity, crypto::random_bytes(32),
+        "file-server", now, rdigest_);
+    expect_both_reject(proof, now, util::ErrorCode::kBadSignature);
+  }
+  // Made for another server.
+  expect_both_reject(prove(alice().cert, alice().identity, now, "other"), now,
+                     util::ErrorCode::kBadSignature);
+  // Stale.
+  expect_both_reject(
+      prove(alice().cert, alice().identity, now - 10 * util::kMinute), now,
+      util::ErrorCode::kExpired);
+  // Alice's genuine certificate, signed by mallory's key.
+  expect_both_reject(
+      prove(alice().cert, world_.principal("mallory").identity, now), now,
+      util::ErrorCode::kBadSignature);
+  // The genuine certificate hit the memo wherever the proof got that far.
+  EXPECT_GE(cached_.cache_stats().identity_hits, 3u);
+}
+
+TEST_F(IdentityMemoTest, CapacityBoundsTheMemo) {
+  const core::ProxyVerifier small = make_verifier(2);
+  for (const char* name : {"alice", "mallory", "file-server"}) {
+    const testing::Principal& p = world_.principal(name);
+    ASSERT_TRUE(
+        check(small, prove(p.cert, p.identity, world_.clock.now()),
+              world_.clock.now())
+            .is_ok());
+  }
+  EXPECT_EQ(small.cache_stats().identity_size, 2u);
+  // The least recently used certificate (alice's) was evicted: a miss.
+  ASSERT_TRUE(check(small,
+                    prove(alice().cert, alice().identity, world_.clock.now()),
+                    world_.clock.now())
+                  .is_ok());
+  EXPECT_EQ(small.cache_stats().identity_misses, 4u);
+  EXPECT_EQ(small.cache_stats().identity_hits, 0u);
+}
+
+TEST_F(IdentityMemoTest, DisabledCacheKeepsMemoEmpty) {
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(check(uncached_,
+                      prove(alice().cert, alice().identity,
+                            world_.clock.now()),
+                      world_.clock.now())
+                    .is_ok());
+  }
+  const core::ChainCacheStats stats = uncached_.cache_stats();
+  EXPECT_EQ(stats.identity_hits, 0u);
+  EXPECT_EQ(stats.identity_misses, 0u);
+  EXPECT_EQ(stats.identity_size, 0u);
+}
+
+TEST_F(IdentityMemoTest, ClearCacheDropsRememberedCertificates) {
+  warm_memo();
+  cached_.clear_cache();
+  EXPECT_EQ(cached_.cache_stats().identity_size, 0u);
+  ASSERT_TRUE(check(cached_,
+                    prove(alice().cert, alice().identity, world_.clock.now()),
+                    world_.clock.now())
+                  .is_ok());
+  EXPECT_EQ(cached_.cache_stats().identity_misses, 2u);
+}
+
 // --- End-server level: per-presentation checks still bite on cache hits ---
 
 class VerifyCacheEndServerTest : public ::testing::Test {
@@ -442,15 +688,35 @@ TEST_F(VerifyCacheEndServerTest, CacheOnOffDecisionParity) {
   core::ProxyChain tampered_chain = good.chain;
   tampered_chain.certs[0].signature[0] ^= 0x80;
 
+  // Delegate identity proofs (§3.5 direct ACL users): alice's genuine
+  // certificate, her certificate re-bound to bob's key, and her genuine
+  // certificate with a proof signed by bob.
+  const testing::Principal& alice = world_.principal("alice");
+  const testing::Principal& bob = world_.principal("bob");
+  pki::IdentityCert rebound = alice.cert;
+  rebound.public_key = bob.identity.public_key();
+  enum class Identity { kNone, kAlice, kRebound, kWrongKey };
+
   const auto outcome = [&](server::EndServer& srv,
                            const core::ProxyChain& chain,
-                           const Operation& op) {
+                           const Operation& op,
+                           Identity identity = Identity::kNone) {
     server::AppRequestPayload req;
     req.operation = op;
     req.object = "/doc";
-    req.credentials.push_back(core::PresentedCredential{
-        chain, core::prove_bearer(good, {}, "file-server",
-                                  world_.clock.now(), req.digest())});
+    const util::Bytes digest = req.digest();
+    const util::TimePoint now = world_.clock.now();
+    if (identity == Identity::kNone) {
+      req.credentials.push_back(core::PresentedCredential{
+          chain, core::prove_bearer(good, {}, "file-server", now, digest)});
+    } else {
+      const pki::IdentityCert& cert =
+          identity == Identity::kRebound ? rebound : alice.cert;
+      const crypto::SigningKeyPair& key =
+          identity == Identity::kAlice ? alice.identity : bob.identity;
+      req.identity =
+          core::prove_delegate_pk(cert, key, {}, "file-server", now, digest);
+    }
     net::Envelope env;
     env.from = "bob";
     env.to = "file-server";
@@ -467,9 +733,21 @@ TEST_F(VerifyCacheEndServerTest, CacheOnOffDecisionParity) {
               outcome(*uncached, tampered_chain, "read"));
     EXPECT_EQ(outcome(*cached, good.chain, "delete"),
               outcome(*uncached, good.chain, "delete"));
+    // Read only: alice's ACL entry would let her identity delete /doc.
+    for (const Identity id :
+         {Identity::kAlice, Identity::kRebound, Identity::kWrongKey}) {
+      EXPECT_EQ(outcome(*cached, good.chain, "read", id),
+                outcome(*uncached, good.chain, "read", id));
+    }
   }
+  EXPECT_EQ(outcome(*cached, good.chain, "read", Identity::kAlice),
+            util::ErrorCode::kOk);
+  EXPECT_EQ(outcome(*cached, good.chain, "read", Identity::kRebound),
+            util::ErrorCode::kBadSignature);
   EXPECT_GE(cached->verifier().cache_stats().hits, 1u);
+  EXPECT_GE(cached->verifier().cache_stats().identity_hits, 1u);
   EXPECT_EQ(uncached->verifier().cache_stats().hits, 0u);
+  EXPECT_EQ(uncached->verifier().cache_stats().identity_hits, 0u);
 }
 
 }  // namespace

@@ -50,6 +50,8 @@ TEST_P(FuzzTest, AllDecodersSurviveRandomBytes) {
   expect_no_crash_on_random<accounting::CertifyPayload>(rng, 50);
   expect_no_crash_on_random<baseline::SollinsPassport>(rng, 50);
   expect_no_crash_on_random<baseline::DssaRoleRecord>(rng, 50);
+  expect_no_crash_on_random<pki::IdentityCert>(rng, 50);
+  expect_no_crash_on_random<pki::PkAuthProof>(rng, 50);
 }
 
 TEST_P(FuzzTest, MutatedValidChainNeverVerifies) {
@@ -94,6 +96,55 @@ TEST_P(FuzzTest, MutatedValidChainNeverVerifies) {
       FAIL() << "mutation at some byte left the chain verifiable";
     }
   }
+}
+
+TEST_P(FuzzTest, MutatedIdentityProofNeverVerifies) {
+  // A delegate identity proof (§6 public-key personal authentication)
+  // against a verifier whose identity-certificate memo already holds the
+  // genuine certificate: a mutant certificate must miss the memo and fail
+  // its issuer signature, and every other mutant must fail the proof.
+  DeterministicRng rng(GetParam());
+  const util::TimePoint now = 1000 * util::kSecond;
+  const crypto::SigningKeyPair root = crypto::SigningKeyPair::generate();
+  const crypto::SigningKeyPair bob = crypto::SigningKeyPair::generate();
+  const pki::IdentityCert cert = pki::issue_identity_cert(
+      "bob", bob.public_key(), "name-server", root, now, util::kHour);
+  const util::Bytes challenge = rng.next_bytes(32);
+  const util::Bytes digest = rng.next_bytes(32);
+  const core::PossessionProof proof = core::prove_delegate_pk(
+      cert, bob, challenge, "file-server", now, digest);
+  const util::Bytes valid = wire::encode_to_bytes(proof);
+
+  core::ProxyVerifier::Config vc;
+  vc.server_name = "file-server";
+  vc.pk_root = root.public_key();
+  const core::ProxyVerifier verifier(std::move(vc));
+
+  // Sanity, and the memo warm-up: the unmodified encoding verifies.
+  {
+    auto decoded = wire::decode_from_bytes<core::PossessionProof>(valid);
+    ASSERT_TRUE(decoded.is_ok());
+    ASSERT_TRUE(
+        verifier.verify_identity(decoded.value(), challenge, digest, now)
+            .is_ok());
+    ASSERT_EQ(verifier.cache_stats().identity_size, 1u);
+  }
+
+  for (int i = 0; i < 200; ++i) {
+    util::Bytes mutated = valid;
+    mutated[rng.next_below(mutated.size())] ^=
+        static_cast<std::uint8_t>(1 + rng.next_below(255));
+    auto decoded = wire::decode_from_bytes<core::PossessionProof>(mutated);
+    if (!decoded.is_ok()) continue;  // structural damage: fine
+    if (verifier.verify_identity(decoded.value(), challenge, digest, now)
+            .is_ok()) {
+      // Every byte is signed (by the name server or by bob) or is a
+      // signature: no mutant may verify.
+      FAIL() << "mutation at some byte left the identity proof verifiable";
+    }
+  }
+  // Only the genuine certificate was ever remembered.
+  EXPECT_EQ(verifier.cache_stats().identity_size, 1u);
 }
 
 TEST_P(FuzzTest, TruncatedEnvelopesHandledByServers) {
