@@ -3,12 +3,10 @@
 // Two claims under measurement, one per tentpole half:
 //
 //   1. Transport: with PIPELINED persistent connections the epoll
-//      EventLoopServer outruns the thread-pool TcpServer on slow-handler
-//      workloads, because the pool dedicates one blocking worker per
-//      connection (one request in flight per client, period) while the
-//      loop keeps `depth` requests per connection in its handler pool.
-//      Sequential (depth 1) rounds should tie — the reactor must not tax
-//      the simple case.
+//      EventLoopServer keeps `depth` requests per connection in its
+//      handler pool, so on slow-handler workloads depth-8 rows outrun
+//      depth-1 rows at the same client count.  The echo rows price the
+//      transport itself.
 //
 //   2. Durability: FsyncPolicy::kGroup recovers most of the every-record
 //      fsync tax once writers are concurrent — N parked committers share
@@ -17,9 +15,9 @@
 //      fsync covering its record (the recovery tests prove the ordering;
 //      this file prices it).
 //
-// Compare items_per_second across /threads:N and between Pool/Loop and
-// every_record/group rows.  avg_group on the group rows shows how many
-// records one fsync amortized.
+// Compare items_per_second across /threads:N, between depth rows, and
+// between every_record/group rows.  avg_group on the group rows shows how
+// many records one fsync amortized.
 #include <chrono>
 #include <memory>
 #include <mutex>
@@ -31,8 +29,8 @@
 #include "bench_util.hpp"
 #include "core/request.hpp"
 #include "net/event_loop.hpp"
-#include "net/tcp_transport.hpp"
 #include "storage/journal.hpp"
+#include "testing/socket_rpc.hpp"
 #include "testing/tempdir.hpp"
 
 namespace {
@@ -40,7 +38,7 @@ namespace {
 using namespace rproxy;
 
 // ---------------------------------------------------------------------------
-// Transport: pool vs loop, sequential vs pipelined.
+// Transport: sequential vs pipelined.
 
 /// Stands in for a handler blocked on downstream I/O (peer-bank
 /// collection, KDC exchange): holds no locks, just waits.
@@ -62,22 +60,19 @@ struct EchoNode : net::Node {
   }
 };
 
-/// Both transports over the same nodes; each bench row picks its port.
-/// Leaked singleton: every benchmark thread shares the live servers.
+/// One server hosting both nodes.  Leaked singleton: every benchmark
+/// thread shares the live server.
 struct TransportWorld {
   SlowNode slow;
   EchoNode echo;
-  net::TcpServer pool;
   net::EventLoopServer loop;
 
   TransportWorld()
       : loop(net::EventLoopServer::Options{
             .workers = 16, .idle_timeout = 0, .max_pipeline = 128}) {
-    pool.attach("slow", slow);
-    pool.attach("echo", echo);
     loop.attach("slow", slow);
     loop.attach("echo", echo);
-    if (!pool.start().is_ok() || !loop.start().is_ok()) std::abort();
+    if (!loop.start().is_ok()) std::abort();
   }
 };
 
@@ -86,12 +81,13 @@ TransportWorld& transport_world() {
   return *w;
 }
 
-/// One client thread against `port`: bursts of `depth` pipelined requests
-/// per round on a persistent connection (depth 1 = plain sequential rpc).
-void run_transport_rows(benchmark::State& state, std::uint16_t port,
-                        const char* node, std::int64_t depth) {
-  net::TcpClient client;
-  const util::Status connected = client.connect("127.0.0.1", port);
+/// One client thread: bursts of `depth` pipelined requests per round on a
+/// persistent connection (depth 1 = plain sequential rpc).
+void run_transport_rows(benchmark::State& state, const char* node,
+                        std::int64_t depth) {
+  net::FanoutClient client;
+  const util::Status connected =
+      client.connect(node, "127.0.0.1", transport_world().loop.port());
   if (!connected.is_ok()) {
     state.SkipWithError(connected.to_string().c_str());
     return;
@@ -105,7 +101,7 @@ void run_transport_rows(benchmark::State& state, std::uint16_t port,
     burst.push_back(std::move(e));
   }
   for (auto _ : state) {
-    auto replies = client.rpc_pipelined(burst);
+    auto replies = testing::round_trips(client, node, burst);
     if (!replies.is_ok()) {
       state.SkipWithError(replies.status().to_string().c_str());
       return;
@@ -118,34 +114,15 @@ void run_transport_rows(benchmark::State& state, std::uint16_t port,
   state.SetLabel("depth=" + std::to_string(depth));
 }
 
-void BM_PoolSlowHandler(benchmark::State& state) {
-  run_transport_rows(state, transport_world().pool.port(), "slow",
-                     state.range(0));
-}
 void BM_LoopSlowHandler(benchmark::State& state) {
-  run_transport_rows(state, transport_world().loop.port(), "slow",
-                     state.range(0));
-}
-void BM_PoolEcho(benchmark::State& state) {
-  run_transport_rows(state, transport_world().pool.port(), "echo",
-                     state.range(0));
+  run_transport_rows(state, "slow", state.range(0));
 }
 void BM_LoopEcho(benchmark::State& state) {
-  run_transport_rows(state, transport_world().loop.port(), "echo",
-                     state.range(0));
+  run_transport_rows(state, "echo", state.range(0));
 }
 
 // Slow handler: the dispatch-concurrency case the reactor exists for.
-// Acceptance: at /threads:8, Loop depth-8 >= Pool depth-8 (the pool can
-// hold only one request per connection in flight; the loop holds eight).
-BENCHMARK(BM_PoolSlowHandler)
-    ->ArgName("depth")
-    ->Arg(1)
-    ->Arg(8)
-    ->Threads(1)
-    ->Threads(8)
-    ->Threads(16)
-    ->UseRealTime();
+// Depth 8 keeps eight requests per connection in the handler pool.
 BENCHMARK(BM_LoopSlowHandler)
     ->ArgName("depth")
     ->Arg(1)
@@ -154,14 +131,7 @@ BENCHMARK(BM_LoopSlowHandler)
     ->Threads(8)
     ->Threads(16)
     ->UseRealTime();
-// Echo: pure transport overhead; the reactor must not tax the cheap case.
-BENCHMARK(BM_PoolEcho)
-    ->ArgName("depth")
-    ->Arg(1)
-    ->Arg(8)
-    ->Threads(1)
-    ->Threads(8)
-    ->UseRealTime();
+// Echo: pure transport overhead.
 BENCHMARK(BM_LoopEcho)
     ->ArgName("depth")
     ->Arg(1)
@@ -285,9 +255,9 @@ DurableWorld& durable_world(bool group) {
 void BM_DurableTransferConcurrent(benchmark::State& state) {
   const bool group = state.range(0) == 1;
   DurableWorld& w = durable_world(group);
-  net::TcpClient client;
+  net::FanoutClient client;
   const util::Status connected =
-      client.connect("127.0.0.1", w.loop.port());
+      client.connect("bank", "127.0.0.1", w.loop.port());
   if (!connected.is_ok()) {
     state.SkipWithError(connected.to_string().c_str());
     return;
@@ -303,13 +273,13 @@ void BM_DurableTransferConcurrent(benchmark::State& state) {
     ce.to = "bank";
     ce.type = net::MsgType::kPresentChallengeRequest;
     ce.payload = wire::encode_to_bytes(Empty{});
-    auto creply = client.rpc(ce);
+    auto creply = testing::round_trips(client, "bank", {ce});
     if (!creply.is_ok()) {
       state.SkipWithError(creply.status().to_string().c_str());
       return;
     }
     auto challenge = wire::decode_from_bytes<server::ChallengePayload>(
-        creply.value().payload);
+        creply.value().front().payload);
     if (!challenge.is_ok()) {
       state.SkipWithError("bad challenge reply");
       return;
@@ -329,8 +299,8 @@ void BM_DurableTransferConcurrent(benchmark::State& state) {
     te.to = "bank";
     te.type = net::MsgType::kTransferRequest;
     te.payload = wire::encode_to_bytes(req);
-    auto reply = client.rpc(te);
-    if (!reply.is_ok() || !net::status_of(reply.value()).is_ok()) {
+    auto reply = testing::round_trips(client, "bank", {te});
+    if (!reply.is_ok() || !net::status_of(reply.value().front()).is_ok()) {
       state.SkipWithError("transfer failed");
       return;
     }

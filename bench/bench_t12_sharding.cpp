@@ -45,9 +45,10 @@
 #include "accounting/check.hpp"
 #include "accounting/sharding/shard_router.hpp"
 #include "bench_util.hpp"
+#include "net/event_loop.hpp"
 #include "net/fanout.hpp"
-#include "net/tcp_transport.hpp"
 #include "storage/journal.hpp"
+#include "testing/socket_rpc.hpp"
 #include "testing/tempdir.hpp"
 #include "util/rng.hpp"
 
@@ -312,11 +313,11 @@ struct BusyNode : net::Node {
 struct FanoutWorld {
   static constexpr int kShards = 4;
   BusyNode node;
-  std::vector<std::unique_ptr<net::TcpServer>> servers;
+  std::vector<std::unique_ptr<net::EventLoopServer>> servers;
 
   FanoutWorld() {
     for (int i = 0; i < kShards; ++i) {
-      servers.push_back(std::make_unique<net::TcpServer>());
+      servers.push_back(std::make_unique<net::EventLoopServer>());
       servers.back()->attach(shard_name(i), node);
       if (!servers.back()->start().is_ok()) std::abort();
     }
@@ -368,11 +369,9 @@ BENCHMARK(BM_FanoutGatherFourShards)->UseRealTime();
 
 void BM_PerConnectionGatherFourShards(benchmark::State& state) {
   FanoutWorld& w = fanout_world();
-  std::vector<std::unique_ptr<net::TcpClient>> clients;
+  net::FanoutClient clients;
   for (int i = 0; i < FanoutWorld::kShards; ++i) {
-    clients.push_back(std::make_unique<net::TcpClient>());
-    if (!clients.back()
-             ->connect("127.0.0.1", w.servers[i]->port())
+    if (!clients.connect(shard_name(i), "127.0.0.1", w.servers[i]->port())
              .is_ok()) {
       state.SkipWithError("connect failed");
       return;
@@ -382,8 +381,8 @@ void BM_PerConnectionGatherFourShards(benchmark::State& state) {
     // One connection at a time: each shard's 1 ms handler is paid in
     // sequence — the blocking collection the fan-out client removes.
     for (int i = 0; i < FanoutWorld::kShards; ++i) {
-      auto reply = clients[static_cast<std::size_t>(i)]->rpc(
-          gather_request(i));
+      auto reply =
+          testing::round_trips(clients, shard_name(i), {gather_request(i)});
       if (!reply.is_ok()) {
         state.SkipWithError(reply.status().to_string().c_str());
         return;

@@ -1,7 +1,7 @@
 // T6 — concurrent service dispatch over the TCP transport.
 //
-// Measures aggregate request throughput against one TcpServer as the
-// number of concurrent client threads grows.  Before the dispatch lock was
+// Measures aggregate request throughput against one net::EventLoopServer
+// as the number of concurrent client threads grows.  Before the dispatch lock was
 // removed a single mutex serialized every handler, so adding clients could
 // not add throughput; with per-node internal locking the aggregate rate
 // should scale until cores (or the accept path) saturate.  Run with
@@ -25,7 +25,8 @@
 #include <thread>
 
 #include "bench_util.hpp"
-#include "net/tcp_transport.hpp"
+#include "net/event_loop.hpp"
+#include "testing/socket_rpc.hpp"
 
 namespace {
 
@@ -49,7 +50,7 @@ struct TcpWorld {
   testing::World world;
   std::unique_ptr<server::FileServer> file_server;
   SlowNode slow_node;
-  net::TcpServer tcp;
+  net::EventLoopServer tcp;
 
   TcpWorld() {
     world.add_principal("alice");
@@ -75,9 +76,9 @@ void BM_TcpChallengeThroughput(benchmark::State& state) {
   // One persistent connection per client thread (a connection per request
   // would exhaust the loopback ephemeral-port range under load and
   // measure TIME_WAIT churn instead of dispatch).
-  net::TcpClient client;
+  net::FanoutClient client;
   const util::Status connected =
-      client.connect("127.0.0.1", w.tcp.port());
+      client.connect("fs", "127.0.0.1", w.tcp.port());
   if (!connected.is_ok()) {
     state.SkipWithError(connected.to_string().c_str());
     return;
@@ -87,7 +88,7 @@ void BM_TcpChallengeThroughput(benchmark::State& state) {
   e.to = "file-server";
   e.type = net::MsgType::kPresentChallengeRequest;
   for (auto _ : state) {
-    auto reply = client.rpc(e);
+    auto reply = testing::round_trips(client, "fs", {e});
     if (!reply.is_ok()) {
       state.SkipWithError(reply.status().to_string().c_str());
       return;
@@ -105,9 +106,9 @@ BENCHMARK(BM_TcpChallengeThroughput)
 
 void BM_TcpPresentationThroughput(benchmark::State& state) {
   TcpWorld& w = tcp_world();
-  net::TcpClient client;
+  net::FanoutClient client;
   const util::Status connected =
-      client.connect("127.0.0.1", w.tcp.port());
+      client.connect("fs", "127.0.0.1", w.tcp.port());
   if (!connected.is_ok()) {
     state.SkipWithError(connected.to_string().c_str());
     return;
@@ -130,13 +131,13 @@ void BM_TcpPresentationThroughput(benchmark::State& state) {
     ce.to = "file-server";
     ce.type = net::MsgType::kPresentChallengeRequest;
     ce.payload = wire::encode_to_bytes(Empty{});
-    auto creply = client.rpc(ce);
+    auto creply = testing::round_trips(client, "fs", {ce});
     if (!creply.is_ok()) {
       state.SkipWithError(creply.status().to_string().c_str());
       return;
     }
     auto challenge = wire::decode_from_bytes<server::ChallengePayload>(
-        creply.value().payload);
+        creply.value().front().payload);
     if (!challenge.is_ok()) {
       state.SkipWithError(challenge.status().to_string().c_str());
       return;
@@ -158,8 +159,8 @@ void BM_TcpPresentationThroughput(benchmark::State& state) {
     ae.to = "file-server";
     ae.type = net::MsgType::kAppRequest;
     ae.payload = wire::encode_to_bytes(req);
-    auto reply = client.rpc(ae);
-    if (!reply.is_ok() || !net::status_of(reply.value()).is_ok()) {
+    auto reply = testing::round_trips(client, "fs", {ae});
+    if (!reply.is_ok() || !net::status_of(reply.value().front()).is_ok()) {
       state.SkipWithError("presentation failed");
       return;
     }
@@ -176,9 +177,9 @@ BENCHMARK(BM_TcpPresentationThroughput)
 
 void BM_TcpSlowHandlerScaling(benchmark::State& state) {
   TcpWorld& w = tcp_world();
-  net::TcpClient client;
+  net::FanoutClient client;
   const util::Status connected =
-      client.connect("127.0.0.1", w.tcp.port());
+      client.connect("fs", "127.0.0.1", w.tcp.port());
   if (!connected.is_ok()) {
     state.SkipWithError(connected.to_string().c_str());
     return;
@@ -188,7 +189,7 @@ void BM_TcpSlowHandlerScaling(benchmark::State& state) {
   e.to = "slow";
   e.type = net::MsgType::kAppRequest;
   for (auto _ : state) {
-    auto reply = client.rpc(e);
+    auto reply = testing::round_trips(client, "fs", {e});
     if (!reply.is_ok()) {
       state.SkipWithError(reply.status().to_string().c_str());
       return;

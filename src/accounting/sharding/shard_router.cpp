@@ -192,22 +192,26 @@ std::vector<util::Status> ShardRouter::transfer_many(
     auto completion = fanout_.next(config_.fanout_timeout_ms);
     if (!completion.is_ok()) {
       // Timeout or dead peer: every reply still owed is wedged behind it.
-      // Fail those legs rather than blocking the batch forever.
+      // Fail those legs rather than blocking the batch forever, and drop
+      // each connection that still owes replies: a late reply left on it
+      // would otherwise be taken by the next batch as its own.  Legs to
+      // those shards take transfer() until attach_fanout() is called again.
       for (const auto& [shard, queue] : owed) {
+        if (queue.empty()) continue;
         for (const Pending& leg : queue) {
           results[leg.index] = completion.status();
         }
+        fanout_.close(shard);
+        fanout_shards_.erase(shard);
       }
       return results;
     }
+    // Every reply belongs to a leg of this batch: a batch ends owing
+    // nothing, or with its owing connections closed above.
     const PrincipalName& shard = completion.value().key;
-    const auto queue_it = owed.find(shard);
-    if (queue_it == owed.end() || queue_it->second.empty()) {
-      // Stale reply from a previously wedged batch; not one of ours.
-      continue;
-    }
-    Pending leg = std::move(queue_it->second.front());
-    queue_it->second.pop_front();
+    std::deque<Pending>& queue = owed[shard];
+    Pending leg = std::move(queue.front());
+    queue.pop_front();
     inflight -= 1;
 
     if (!leg.deposit) {
@@ -226,7 +230,7 @@ std::vector<util::Status> ShardRouter::transfer_many(
         continue;
       }
       leg.deposit = true;
-      queue_it->second.push_back(std::move(leg));
+      queue.push_back(std::move(leg));
       inflight += 1;
     } else {
       const auto reply =

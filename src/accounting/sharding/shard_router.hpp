@@ -113,9 +113,10 @@ class ShardRouter {
   /// (the PR 8 stall this path removes).  Intra-shard ops, unattached
   /// target shards, and routing gaps fall back to transfer() with its
   /// refresh/re-route discipline.  Returns one status per op,
-  /// index-aligned.  After a collect failure (timeout / dead peer) the
-  /// wedged connection may still owe replies — re-attach_fanout() it
-  /// before reuse.
+  /// index-aligned.  A collect failure (timeout / dead peer) fails every
+  /// leg still owed a reply and closes each connection that owes one;
+  /// legs to those shards take transfer() until attach_fanout() is called
+  /// again.
   [[nodiscard]] std::vector<util::Status> transfer_many(
       const std::vector<TransferOp>& ops);
 

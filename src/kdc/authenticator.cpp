@@ -72,9 +72,11 @@ util::Result<ApVerified> verify_ap_request(
                           "' does not match ticket client '" + ticket.client +
                           "'");
   }
-  const util::Duration skew = auth.timestamp > now ? auth.timestamp - now
-                                                   : now - auth.timestamp;
-  if (skew > options.max_skew) {
+  // Bounds on the timestamp, not |timestamp - now|: the subtraction
+  // overflows for an extreme sealed timestamp.  Past this check,
+  // timestamp + max_skew below cannot overflow either.
+  if (auth.timestamp > now + options.max_skew ||
+      auth.timestamp < now - options.max_skew) {
     return util::fail(ErrorCode::kExpired, "authenticator not fresh");
   }
   if (options.replay_cache != nullptr) {

@@ -10,10 +10,7 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
 #include <ctime>
-
-#include "net/tcp_transport.hpp"
 
 namespace rproxy::net {
 
@@ -31,22 +28,6 @@ std::uint64_t mono_us() {
 void set_nodelay(int fd) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-/// Encodes `reply` as one wire frame (length prefix + envelope), ready to
-/// append to a connection's write buffer.
-util::Bytes encode_reply_frame(const Envelope& reply) {
-  wire::Encoder enc;
-  encode_envelope(enc, reply);
-  const util::BytesView body = enc.view();
-  const auto len = static_cast<std::uint32_t>(body.size());
-  util::Bytes frame(4 + body.size());
-  frame[0] = static_cast<std::uint8_t>(len >> 24);
-  frame[1] = static_cast<std::uint8_t>(len >> 16);
-  frame[2] = static_cast<std::uint8_t>(len >> 8);
-  frame[3] = static_cast<std::uint8_t>(len);
-  if (!body.empty()) std::memcpy(frame.data() + 4, body.data(), body.size());
-  return frame;
 }
 
 }  // namespace
@@ -231,8 +212,8 @@ void EventLoopServer::on_readable_(Connection& conn) {
   }
   if (peer_closed) {
     // Peer finished sending.  A clean half-close with requests still in
-    // flight could in principle wait for their replies, but both
-    // transports treat client close as end-of-conversation — and a
+    // flight could in principle wait for their replies, but the server
+    // treats client close as end-of-conversation — and a
     // mid-frame disconnect leaves an unparseable stub that must not leak.
     close_connection_(fd);
   }
@@ -241,19 +222,17 @@ void EventLoopServer::on_readable_(Connection& conn) {
 bool EventLoopServer::drain_read_buffer_(Connection& conn) {
   std::size_t off = 0;
   bool queued = false;
-  while (!conn.reading_paused && conn.read_buf.size() - off >= 4) {
-    const std::uint8_t* p = conn.read_buf.data() + off;
-    const std::uint32_t len = (std::uint32_t{p[0]} << 24) |
-                              (std::uint32_t{p[1]} << 16) |
-                              (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
-    if (len > kMaxFrameBytes) return false;
-    if (conn.read_buf.size() - off < 4 + std::size_t{len}) break;
+  while (!conn.reading_paused) {
+    const PeeledFrame peeled =
+        peel_frame(util::BytesView(conn.read_buf).subspan(off));
+    if (peeled.kind == PeeledFrame::Kind::kOversized) return false;
+    if (peeled.kind == PeeledFrame::Kind::kNone) break;
     Task task;
     task.fd = conn.fd;
     task.conn_id = conn.id;
     task.seq = conn.next_assign_seq++;
-    task.frame.assign(p + 4, p + 4 + len);
-    off += 4 + len;
+    task.frame.assign(peeled.body.begin(), peeled.body.end());
+    off += peeled.consumed;
     conn.in_flight += 1;
     {
       std::lock_guard lock(tasks_mutex_);
@@ -292,7 +271,7 @@ void EventLoopServer::worker_loop_() {
     Envelope reply;
     if (!dec.finish().is_ok()) {
       // Framed garbage: the stream itself is intact, so answer in-slot
-      // and keep serving (same contract as the thread-pool server).
+      // and keep serving.
       reply = make_error_reply(
           request, util::fail(ErrorCode::kParseError, "malformed envelope"));
     } else {
@@ -313,7 +292,7 @@ void EventLoopServer::worker_loop_() {
     done.fd = task.fd;
     done.conn_id = task.conn_id;
     done.seq = task.seq;
-    done.reply_frame = encode_reply_frame(reply);
+    done.reply_frame = encode_frame(reply);
     {
       std::lock_guard lock(completions_mutex_);
       completions_.push_back(std::move(done));

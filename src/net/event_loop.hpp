@@ -1,27 +1,21 @@
-// Epoll-based event-loop transport.
+// Epoll-based event-loop transport: the library's socket server.
 //
-// The thread-pool TcpServer dedicates one blocking worker to each live
-// connection, so a connection can only have ONE request in flight and
-// idle connections pin workers.  EventLoopServer decouples the two: a
-// single reactor thread owns every socket (nonblocking, epoll-driven,
+// A single reactor thread owns every socket (nonblocking, epoll-driven,
 // incremental frame parsing into per-connection buffers) and a small
-// worker pool runs the Node handlers.  Many frames can be in flight per
+// worker pool runs the Node handlers, so idle connections cost one epoll
+// entry each and never pin a thread.  Many frames can be in flight per
 // connection — pipelining — and replies are released strictly in request
 // order through a per-connection reorder buffer, so clients match the
 // k-th reply to the k-th request without tags (see DESIGN.md
-// "Concurrency model" for the wire contract).
-//
-// Serving the SAME net::Node objects behind the same framing as
-// TcpServer makes the two A/B-selectable: every protocol test and bench
-// can run against either transport unchanged (bench_t11_event_loop
-// measures the spread).
+// "Concurrency model" for the wire contract; the framing itself lives in
+// net/message.hpp).  net::FanoutClient is the matching client.
 //
 // Threading rules, which keep the design small:
 //   * The reactor thread is the only thread that touches sockets,
 //     buffers, epoll state and per-connection bookkeeping.
-//   * Workers only decode a frame, run Node::handle() (handlers are
-//     thread-safe, as with TcpServer), encode the reply, and push a
-//     completion; an eventfd wakes the reactor to write it out.
+//   * Workers only decode a frame, run Node::handle() (handlers must be
+//     thread-safe), encode the reply, and push a completion; an eventfd
+//     wakes the reactor to write it out.
 //   * Backpressure: past `max_pipeline` undecided frames the connection's
 //     EPOLLIN is paused — the kernel receive buffer, then the client,
 //     absorb the overflow.
@@ -44,15 +38,14 @@
 namespace rproxy::net {
 
 /// Hosts Nodes behind a TCP listener, serving concurrent pipelined
-/// requests from an epoll reactor plus a handler worker pool.  Same
-/// attach/start/port/stop surface as TcpServer so tests and benches can
-/// switch transports with one line.
+/// requests from an epoll reactor plus a handler worker pool.  Dispatch is
+/// routed by Envelope::to.
 class EventLoopServer {
  public:
   struct Options {
-    /// Handler threads.  Unlike TcpServer's pool this does NOT bound
-    /// connections — thousands of idle sockets cost one epoll entry each
-    /// — it bounds CONCURRENT HANDLER WORK.
+    /// Handler threads.  This does NOT bound connections — thousands of
+    /// idle sockets cost one epoll entry each — it bounds CONCURRENT
+    /// HANDLER WORK.
     std::size_t workers = 8;
     /// Close a connection with no complete frame and nothing in flight
     /// after this long (wall-clock microseconds; 0 disables).  This is

@@ -8,10 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 #include <vector>
-
-#include "net/tcp_transport.hpp"
 
 namespace rproxy::net {
 
@@ -48,21 +45,11 @@ util::Status FanoutClient::connect(const std::string& key,
 util::Status FanoutClient::send(const std::string& key,
                                 const Envelope& request) {
   auto it = connections_.find(key);
-  if (it == connections_.end() || it->second.fd < 0) {
+  if (it == connections_.end()) {
     return util::fail(ErrorCode::kInternal,
                       "no connection under key '" + key + "'");
   }
-  wire::Encoder enc;
-  encode_envelope(enc, request);
-  const util::BytesView body = enc.view();
-  const auto len = static_cast<std::uint32_t>(body.size());
-  util::Bytes frame(4 + body.size());
-  frame[0] = static_cast<std::uint8_t>(len >> 24);
-  frame[1] = static_cast<std::uint8_t>(len >> 16);
-  frame[2] = static_cast<std::uint8_t>(len >> 8);
-  frame[3] = static_cast<std::uint8_t>(len);
-  std::memcpy(frame.data() + 4, body.data(), body.size());
-
+  const util::Bytes frame = encode_frame(request);
   std::size_t done = 0;
   while (done < frame.size()) {
     const ssize_t put =
@@ -73,29 +60,10 @@ util::Status FanoutClient::send(const std::string& key,
       continue;
     }
     if (errno == EINTR) continue;
-    ::close(it->second.fd);
-    it->second.fd = -1;
-    return util::fail(ErrorCode::kUnavailable,
-                      "send to '" + key + "' failed");
+    return fail_(it, ErrorCode::kUnavailable, "send failed");
   }
   it->second.inflight += 1;
   return util::Status::ok();
-}
-
-bool FanoutClient::peel_frame_(Connection& conn, util::Bytes& frame_out) {
-  if (conn.buffer.size() < 4) return false;
-  const std::uint32_t len = (std::uint32_t{conn.buffer[0]} << 24) |
-                            (std::uint32_t{conn.buffer[1]} << 16) |
-                            (std::uint32_t{conn.buffer[2]} << 8) |
-                            std::uint32_t{conn.buffer[3]};
-  // A hostile/corrupt length is handled by the caller as a dead
-  // connection: surface it as an oversized frame it will never complete.
-  if (len > kMaxFrameBytes || conn.buffer.size() < 4 + std::size_t{len}) {
-    return false;
-  }
-  frame_out.assign(conn.buffer.begin() + 4, conn.buffer.begin() + 4 + len);
-  conn.buffer.erase(conn.buffer.begin(), conn.buffer.begin() + 4 + len);
-  return true;
 }
 
 util::Result<FanoutClient::Completion> FanoutClient::next(int timeout_ms) {
@@ -105,40 +73,38 @@ util::Result<FanoutClient::Completion> FanoutClient::next(int timeout_ms) {
   while (true) {
     // Serve buffered frames first, scanning round-robin from just past the
     // last key served so a flood on one connection cannot starve others.
-    std::vector<std::string> keys;
-    keys.reserve(connections_.size());
-    for (auto it = connections_.upper_bound(last_served_);
-         it != connections_.end(); ++it) {
-      keys.push_back(it->first);
-    }
-    for (auto it = connections_.begin();
-         it != connections_.end() && it->first <= last_served_; ++it) {
-      keys.push_back(it->first);
-    }
-    for (const std::string& key : keys) {
-      Connection& conn = connections_[key];
+    auto it = connections_.upper_bound(last_served_);
+    for (std::size_t n = 0; n < connections_.size(); ++n, ++it) {
+      if (it == connections_.end()) it = connections_.begin();
+      Connection& conn = it->second;
       if (conn.inflight == 0) continue;
-      util::Bytes frame;
-      if (!peel_frame_(conn, frame)) continue;
-      wire::Decoder dec(frame);
+      const PeeledFrame peeled = peel_frame(conn.buffer);
+      if (peeled.kind == PeeledFrame::Kind::kNone) continue;
+      if (peeled.kind == PeeledFrame::Kind::kOversized) {
+        return fail_(it, ErrorCode::kProtocolError,
+                     "reply frame exceeds kMaxFrameBytes");
+      }
+      wire::Decoder dec(peeled.body);
       Envelope reply = decode_envelope(dec);
-      RPROXY_RETURN_IF_ERROR(dec.finish());
+      if (!dec.finish().is_ok()) {
+        return fail_(it, ErrorCode::kProtocolError, "malformed reply frame");
+      }
+      conn.buffer.erase(conn.buffer.begin(),
+                        conn.buffer.begin() +
+                            static_cast<std::ptrdiff_t>(peeled.consumed));
       conn.inflight -= 1;
-      last_served_ = key;
-      return Completion{key, std::move(reply)};
+      last_served_ = it->first;
+      return Completion{it->first, std::move(reply)};
     }
 
     // Nothing buffered: poll every connection that still owes a reply.
     std::vector<pollfd> fds;
-    std::vector<std::string> fd_keys;
-    for (auto& [key, conn] : connections_) {
-      if (conn.inflight == 0 || conn.fd < 0) continue;
-      fds.push_back({conn.fd, POLLIN, 0});
-      fd_keys.push_back(key);
-    }
-    if (fds.empty()) {
-      return util::fail(ErrorCode::kUnavailable,
-                        "all connections owing replies are closed");
+    std::vector<ConnectionMap::iterator> polled;
+    for (auto conn_it = connections_.begin(); conn_it != connections_.end();
+         ++conn_it) {
+      if (conn_it->second.inflight == 0) continue;
+      fds.push_back({conn_it->second.fd, POLLIN, 0});
+      polled.push_back(conn_it);
     }
     const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
     if (ready < 0) {
@@ -151,7 +117,7 @@ util::Result<FanoutClient::Completion> FanoutClient::next(int timeout_ms) {
     }
     for (std::size_t i = 0; i < fds.size(); ++i) {
       if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      Connection& conn = connections_[fd_keys[i]];
+      Connection& conn = polled[i]->second;
       std::uint8_t chunk[16 * 1024];
       const ssize_t got = ::recv(conn.fd, chunk, sizeof(chunk), 0);
       if (got > 0) {
@@ -160,11 +126,8 @@ util::Result<FanoutClient::Completion> FanoutClient::next(int timeout_ms) {
       }
       if (got < 0 && errno == EINTR) continue;
       // Peer hung up (or hard error) while still owing replies.
-      ::close(conn.fd);
-      conn.fd = -1;
-      return util::fail(ErrorCode::kUnavailable,
-                        "connection '" + fd_keys[i] +
-                            "' closed with replies in flight");
+      return fail_(polled[i], ErrorCode::kUnavailable,
+                   "closed with replies in flight");
     }
   }
 }
@@ -175,10 +138,24 @@ std::size_t FanoutClient::inflight() const {
   return total;
 }
 
+util::Status FanoutClient::fail_(ConnectionMap::iterator it, ErrorCode code,
+                                 const std::string& why) {
+  util::Status status =
+      util::fail(code, "connection '" + it->first + "': " + why);
+  ::close(it->second.fd);
+  connections_.erase(it);
+  return status;
+}
+
+void FanoutClient::close(const std::string& key) {
+  auto it = connections_.find(key);
+  if (it == connections_.end()) return;
+  ::close(it->second.fd);
+  connections_.erase(it);
+}
+
 void FanoutClient::close() {
-  for (auto& [key, conn] : connections_) {
-    if (conn.fd >= 0) ::close(conn.fd);
-  }
+  for (auto& [key, conn] : connections_) ::close(conn.fd);
   connections_.clear();
   last_served_.clear();
 }

@@ -1,16 +1,16 @@
-// Multi-connection fan-out client.
+// Multi-connection fan-out client: the library's socket client.
 //
-// TcpClient::rpc_pipelined keeps many requests in flight, but only on ONE
-// connection — its collect loop blocks on that connection's next reply, so
-// a caller talking to several servers (a shard router spraying transfers
-// across a fleet) would let the slowest server stall replies that other
-// servers have already produced.  FanoutClient holds one pipelined
-// connection per peer and multiplexes the collect side with poll():
+// FanoutClient holds one pipelined connection per peer (typically a
+// net::EventLoopServer) and multiplexes the collect side with poll():
 // next() returns the earliest completed reply from ANY connection, while
 // replies on each individual connection still come back in request order
-// (the per-connection server contract is unchanged).
+// (the server's per-connection contract).  A caller talking to several
+// servers — a shard router spraying transfers across a fleet — therefore
+// never lets the slowest server stall replies that the others have
+// already produced.  One connection under one key is the plain
+// persistent-connection client.
 //
-// Not thread-safe; use one per driving thread, like TcpClient.
+// Not thread-safe; use one per driving thread.
 #pragma once
 
 #include <cstdint>
@@ -48,14 +48,19 @@ class FanoutClient {
   };
 
   /// Blocks until ANY connection completes a reply and returns it.
-  /// `timeout_ms` < 0 waits forever; expiry surfaces as kTimeout.  Calling
-  /// with nothing in flight is a protocol error.  Drains connections
-  /// fairly (round-robin over readiness), so one chatty peer cannot
-  /// starve the rest.
+  /// `timeout_ms` < 0 waits forever; expiry surfaces as kTimeout and
+  /// leaves every request in flight.  Calling with nothing in flight is a
+  /// protocol error.  Drains connections fairly (round-robin over
+  /// readiness), so one chatty peer cannot starve the rest.  A connection
+  /// that hangs up, or sends a frame that is oversized or does not decode,
+  /// is closed and its owed replies are dropped; the error names its key.
   [[nodiscard]] util::Result<Completion> next(int timeout_ms = -1);
 
   /// Replies still owed across all connections.
   [[nodiscard]] std::size_t inflight() const;
+
+  /// Closes and forgets `key`'s connection, dropping any replies it owes.
+  void close(const std::string& key);
 
   void close();
 
@@ -65,11 +70,14 @@ class FanoutClient {
     std::size_t inflight = 0;
     util::Bytes buffer;  ///< bytes read but not yet peeled into frames
   };
+  using ConnectionMap = std::map<std::string, Connection>;
 
-  /// Extracts one complete frame from `conn`'s buffer, if present.
-  [[nodiscard]] bool peel_frame_(Connection& conn, util::Bytes& frame_out);
+  /// Closes and forgets `it`'s connection; returns `code` with `why`
+  /// prefixed by the connection's key.
+  util::Status fail_(ConnectionMap::iterator it, util::ErrorCode code,
+                     const std::string& why);
 
-  std::map<std::string, Connection> connections_;
+  ConnectionMap connections_;
   /// Round-robin cursor: the key AFTER which the next scan starts.
   std::string last_served_;
 };

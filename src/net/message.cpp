@@ -57,6 +57,45 @@ std::size_t Envelope::wire_size() const {
   return 4 + from.size() + 4 + to.size() + 2 + 4 + payload.size();
 }
 
+void encode_envelope(wire::Encoder& enc, const Envelope& e) {
+  enc.reserve(e.wire_size());
+  enc.str(e.from);
+  enc.str(e.to);
+  enc.u16(static_cast<std::uint16_t>(e.type));
+  enc.bytes(e.payload);
+}
+
+Envelope decode_envelope(wire::Decoder& dec) {
+  Envelope e;
+  e.from = dec.str();
+  e.to = dec.str();
+  e.type = static_cast<MsgType>(dec.u16());
+  e.payload = dec.bytes();
+  return e;
+}
+
+util::Bytes encode_frame(const Envelope& e) {
+  const std::size_t body = e.wire_size();
+  wire::Encoder enc;
+  enc.reserve(sizeof(std::uint32_t) + body);
+  enc.u32(static_cast<std::uint32_t>(body));
+  encode_envelope(enc, e);
+  return enc.take();
+}
+
+PeeledFrame peel_frame(util::BytesView buffer) {
+  if (buffer.size() < sizeof(std::uint32_t)) return {};
+  const std::uint32_t len = (std::uint32_t{buffer[0]} << 24) |
+                            (std::uint32_t{buffer[1]} << 16) |
+                            (std::uint32_t{buffer[2]} << 8) |
+                            std::uint32_t{buffer[3]};
+  if (len > kMaxFrameBytes) return {PeeledFrame::Kind::kOversized, {}, 0};
+  const std::size_t consumed = sizeof(std::uint32_t) + len;
+  if (buffer.size() < consumed) return {};
+  return {PeeledFrame::Kind::kFrame,
+          buffer.subspan(sizeof(std::uint32_t), len), consumed};
+}
+
 void ErrorPayload::encode(wire::Encoder& enc) const {
   enc.u16(code);
   enc.str(message);

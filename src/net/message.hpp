@@ -104,6 +104,39 @@ struct Envelope {
   [[nodiscard]] std::size_t wire_size() const;
 };
 
+/// Envelope codec: `from, to, type: u16, payload`, exactly
+/// Envelope::wire_size() octets.
+void encode_envelope(wire::Encoder& enc, const Envelope& e);
+[[nodiscard]] Envelope decode_envelope(wire::Decoder& dec);
+
+// Socket framing, shared by the server (net::EventLoopServer) and the
+// client (net::FanoutClient): a u32 big-endian length, then the encoded
+// envelope.  These two functions are the only code that writes or reads
+// the length prefix.
+
+/// Largest accepted frame body (length prefix excluded): a corrupt or
+/// hostile length prefix must never provoke a multi-gigabyte allocation.
+inline constexpr std::size_t kMaxFrameBytes = 4u << 20;  // generous for chains
+
+/// One whole frame (length prefix + envelope), built in a single buffer.
+[[nodiscard]] util::Bytes encode_frame(const Envelope& e);
+
+/// What the front of a receive buffer holds.
+struct PeeledFrame {
+  enum class Kind {
+    kNone,       ///< not a whole frame yet: read more
+    kFrame,      ///< `body` is one whole envelope encoding
+    kOversized,  ///< the prefix exceeds kMaxFrameBytes: the stream cannot
+                 ///< be resynchronized, so drop the connection
+  };
+  Kind kind = Kind::kNone;
+  util::BytesView body;       ///< points into the buffer (kFrame only)
+  std::size_t consumed = 0;   ///< prefix + body octets (kFrame only)
+};
+
+/// Looks for one frame at the front of `buffer` without copying it.
+[[nodiscard]] PeeledFrame peel_frame(util::BytesView buffer);
+
 /// Standard error payload: carries a Status back to the caller.  `detail`
 /// is the Status's machine-readable payload (e.g. the shard-map version
 /// behind a kWrongShard redirect); 0 when unused.

@@ -5,13 +5,16 @@
 // envelope builders, so authorization stays challenge-bound per leg.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "accounting/sharding/migration.hpp"
 #include "accounting/sharding/shard_router.hpp"
-#include "net/tcp_transport.hpp"
+#include "net/event_loop.hpp"
 #include "testing/env.hpp"
 
 namespace rproxy {
@@ -23,17 +26,38 @@ using accounting::sharding::ShardRouter;
 using accounting::sharding::uniform_map;
 using rproxy::testing::World;
 
+/// Forwards to a node after an adjustable delay: a shard that is slow for
+/// as long as the test says.
+class DelayedNode final : public net::Node {
+ public:
+  explicit DelayedNode(net::Node& inner) : inner_(inner) {}
+
+  net::Envelope handle(const net::Envelope& request) override {
+    const int delay = delay_ms.load();
+    if (delay > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(delay));
+    }
+    return inner_.handle(request);
+  }
+
+  std::atomic<int> delay_ms{0};
+
+ private:
+  net::Node& inner_;
+};
+
 /// Two gated shards on the SimNet (the inter-shard collection path), each
-/// ALSO exposed over a TcpServer (the router's fanout deposit path), plus
-/// a map service and a router.
+/// ALSO exposed over an EventLoopServer (the router's fanout deposit path;
+/// s2's behind a DelayedNode), plus a map service and a router.
 struct FanoutWorld {
   World world;
   ShardDirectory dir;
   std::unique_ptr<accounting::AccountingServer> s1;
   std::unique_ptr<accounting::AccountingServer> s2;
   std::unique_ptr<ShardMapService> map_service;
-  net::TcpServer tcp1;
-  net::TcpServer tcp2;
+  std::unique_ptr<DelayedNode> slow2;
+  net::EventLoopServer tcp1;
+  net::EventLoopServer tcp2;
 
   FanoutWorld() {
     world.add_principal("router");
@@ -51,8 +75,9 @@ struct FanoutWorld {
     world.net.attach("s2", *s2);
     map_service = std::make_unique<ShardMapService>("shard-map", dir);
     world.net.attach("shard-map", *map_service);
+    slow2 = std::make_unique<DelayedNode>(*s2);
     tcp1.attach("s1", *s1);
-    tcp2.attach("s2", *s2);
+    tcp2.attach("s2", *slow2);
     EXPECT_TRUE(tcp1.start().is_ok());
     EXPECT_TRUE(tcp2.start().is_ok());
   }
@@ -76,8 +101,9 @@ struct FanoutWorld {
     return names;
   }
 
-  [[nodiscard]] ShardRouter router() {
+  [[nodiscard]] ShardRouter router(int fanout_timeout_ms = 5000) {
     ShardRouter::Config config;
+    config.fanout_timeout_ms = fanout_timeout_ms;
     config.net = &world.net;
     config.clock = &world.clock;
     config.self = "router";
@@ -166,6 +192,47 @@ TEST(ShardRouterFanout, PerOpStatusIsolatesAFailedLeg) {
   EXPECT_EQ(router.pipelined_transfers(), 2u);
   EXPECT_EQ(w.s2->account(on_s2[0])->balances().balance("usd"), 110);
   EXPECT_EQ(w.s2->account(on_s2[1])->balances().balance("usd"), 115);
+}
+
+TEST(ShardRouterFanout, BatchAfterAWedgedBatchKeepsItsOwnReplies) {
+  FanoutWorld w;
+  const auto on_s1 = w.open_on("s1", 2, 100);
+  const auto on_s2 = w.open_on("s2", 2, 100);
+  auto router = w.router(/*fanout_timeout_ms=*/100);
+  ASSERT_TRUE(router.attach_fanout("s2", "127.0.0.1", w.tcp2.port()).is_ok());
+
+  // Batch 1: s2 answers after the router has given up on it.
+  w.slow2->delay_ms.store(300);
+  const auto wedged = router.transfer_many({{on_s1[0], on_s2[0], "usd", 10}});
+  ASSERT_EQ(wedged.size(), 1u);
+  EXPECT_EQ(wedged[0].code(), util::ErrorCode::kTimeout);
+  // Let the late reply reach the router's socket, then heal s2.
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  w.slow2->delay_ms.store(0);
+
+  // Batch 2 must be answered by its own replies, not batch 1's late one.
+  const auto results = router.transfer_many({
+      {on_s1[1], on_s2[1], "usd", 20},
+      {on_s1[0], on_s2[1], "usd", 5},
+  });
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_TRUE(results[0].is_ok()) << results[0];
+  EXPECT_TRUE(results[1].is_ok()) << results[1];
+  // The wedged connection was dropped, so batch 2 took the sequential path.
+  EXPECT_EQ(router.pipelined_transfers(), 0u);
+  EXPECT_EQ(w.s1->account(on_s1[0])->balances().balance("usd"), 95);
+  EXPECT_EQ(w.s1->account(on_s1[1])->balances().balance("usd"), 80);
+  EXPECT_EQ(w.s2->account(on_s2[0])->balances().balance("usd"), 100);
+  EXPECT_EQ(w.s2->account(on_s2[1])->balances().balance("usd"), 125);
+  EXPECT_EQ(w.s1->uncollected_total(), 0);
+  EXPECT_EQ(w.s2->uncollected_total(), 0);
+
+  // Re-attaching restores the pipelined path.
+  ASSERT_TRUE(router.attach_fanout("s2", "127.0.0.1", w.tcp2.port()).is_ok());
+  const auto again = router.transfer_many({{on_s1[1], on_s2[0], "usd", 1}});
+  ASSERT_EQ(again.size(), 1u);
+  EXPECT_TRUE(again[0].is_ok()) << again[0];
+  EXPECT_EQ(router.pipelined_transfers(), 1u);
 }
 
 }  // namespace

@@ -1,7 +1,5 @@
 // Concurrent dispatch over real TCP: many client threads, many nodes, one
-// server with no global dispatch lock — parameterized over BOTH transports
-// (the thread-pool TcpServer and the epoll EventLoopServer), since the
-// protocol invariants cannot depend on who schedules the handlers.
+// net::EventLoopServer with no global dispatch lock.
 //
 // The invariants under fire are the financial ones: concurrent authenticated
 // transfers must neither lose nor duplicate postings (conservation), a
@@ -18,8 +16,8 @@
 #include "accounting/accounting_server.hpp"
 #include "core/request.hpp"
 #include "net/event_loop.hpp"
-#include "net/tcp_transport.hpp"
 #include "testing/env.hpp"
+#include "testing/socket_rpc.hpp"
 
 namespace rproxy {
 namespace {
@@ -35,7 +33,7 @@ constexpr int kClients = 8;
 constexpr int kTransfersPerClient = 25;
 constexpr std::uint64_t kInitialBalance = 1'000;
 
-class ConcurrentDispatch : public ::testing::TestWithParam<const char*> {
+class ConcurrentDispatch : public ::testing::Test {
  protected:
   ConcurrentDispatch() {
     world_.add_principal("bank");
@@ -59,26 +57,11 @@ class ConcurrentDispatch : public ::testing::TestWithParam<const char*> {
       file_server_->acl().add(authz::AclEntry{{client_name(i)}, {}, {}, {}});
     }
 
-    if (std::string(GetParam()) == "pool") {
-      tcp_.attach("kdc", *world_.kdc_server);
-      tcp_.attach("bank", *bank_);
-      tcp_.attach("file-server", *file_server_);
-      const util::Status started = tcp_.start();
-      EXPECT_TRUE(started.is_ok()) << started;
-      port_ = tcp_.port();
-    } else {
-      loop_.attach("kdc", *world_.kdc_server);
-      loop_.attach("bank", *bank_);
-      loop_.attach("file-server", *file_server_);
-      const util::Status started = loop_.start();
-      EXPECT_TRUE(started.is_ok()) << started;
-      port_ = loop_.port();
-    }
-  }
-
-  [[nodiscard]] std::uint64_t served() const {
-    return std::string(GetParam()) == "pool" ? tcp_.requests_served()
-                                             : loop_.requests_served();
+    loop_.attach("kdc", *world_.kdc_server);
+    loop_.attach("bank", *bank_);
+    loop_.attach("file-server", *file_server_);
+    const util::Status started = loop_.start();
+    EXPECT_TRUE(started.is_ok()) << started;
   }
 
   static std::string client_name(int i) {
@@ -98,7 +81,7 @@ class ConcurrentDispatch : public ::testing::TestWithParam<const char*> {
     e.type = req_type;
     e.payload = wire::encode_to_bytes(request);
     RPROXY_ASSIGN_OR_RETURN(net::Envelope reply,
-                            net::tcp_rpc("127.0.0.1", port_, e));
+                            testing::socket_rpc(loop_.port(), e));
     RPROXY_RETURN_IF_ERROR(net::expect_type(reply, reply_type));
     return wire::decode_from_bytes<ReplyT>(reply.payload);
   }
@@ -138,15 +121,13 @@ class ConcurrentDispatch : public ::testing::TestWithParam<const char*> {
   World world_;
   std::unique_ptr<accounting::AccountingServer> bank_;
   std::unique_ptr<server::FileServer> file_server_;
-  net::TcpServer tcp_;
   net::EventLoopServer loop_;
-  std::uint16_t port_ = 0;
 };
 
 // Conservation under concurrency: kClients threads each post
 // kTransfersPerClient 1-credit transfers into the shared pot.  Every
 // posting must land exactly once.
-TEST_P(ConcurrentDispatch, ConcurrentTransfersConserveBalances) {
+TEST_F(ConcurrentDispatch, ConcurrentTransfersConserveBalances) {
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   threads.reserve(kClients);
@@ -170,13 +151,13 @@ TEST_P(ConcurrentDispatch, ConcurrentTransfersConserveBalances) {
               static_cast<std::int64_t>(kInitialBalance -
                                         kTransfersPerClient));
   }
-  EXPECT_GE(served(),
+  EXPECT_GE(loop_.requests_served(),
             2 * static_cast<std::uint64_t>(kClients) * kTransfersPerClient);
 }
 
 // A single-use challenge presented by many racing connections has exactly
 // one winner: the replayed presentations must all be rejected.
-TEST_P(ConcurrentDispatch, ChallengeReplayHasSingleWinner) {
+TEST_F(ConcurrentDispatch, ChallengeReplayHasSingleWinner) {
   const core::Proxy cap = authz::make_capability_pk(
       "client-0", world_.principal("client-0").identity, "file-server",
       {core::ObjectRights{"/doc", {"read"}}}, world_.clock.now(),
@@ -209,7 +190,7 @@ TEST_P(ConcurrentDispatch, ChallengeReplayHasSingleWinner) {
   threads.reserve(kRacers);
   for (int i = 0; i < kRacers; ++i) {
     threads.emplace_back([this, &e, &successes] {
-      auto reply = net::tcp_rpc("127.0.0.1", port_, e);
+      auto reply = testing::socket_rpc(loop_.port(), e);
       if (reply.is_ok() && net::status_of(reply.value()).is_ok()) {
         successes.fetch_add(1);
       }
@@ -225,7 +206,7 @@ TEST_P(ConcurrentDispatch, ChallengeReplayHasSingleWinner) {
 // certification — identical terms are one logical certify, however many
 // connections carry it — so all racers report success while the bank's
 // state records a single hold.
-TEST_P(ConcurrentDispatch, ConcurrentCertifySameCheckNumberSingleWinner) {
+TEST_F(ConcurrentDispatch, ConcurrentCertifySameCheckNumberSingleWinner) {
   constexpr int kRacers = 6;
   constexpr std::uint64_t kCheckNumber = 7;
   std::atomic<int> successes{0};
@@ -268,7 +249,7 @@ TEST_P(ConcurrentDispatch, ConcurrentCertifySameCheckNumberSingleWinner) {
 // Different nodes exercised simultaneously through one transport: Kerberos
 // AS exchanges against the KDC interleaved with capability presentations
 // at the file server and transfers at the bank.
-TEST_P(ConcurrentDispatch, MixedNodesServeConcurrently) {
+TEST_F(ConcurrentDispatch, MixedNodesServeConcurrently) {
   constexpr int kPerRole = 4;
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
@@ -330,46 +311,40 @@ TEST_P(ConcurrentDispatch, MixedNodesServeConcurrently) {
             static_cast<std::size_t>(kPerRole));
 }
 
-INSTANTIATE_TEST_SUITE_P(BothTransports, ConcurrentDispatch,
-                         ::testing::Values("pool", "loop"),
-                         [](const auto& info) {
-                           return std::string(info.param);
-                         });
-
-// The bounded worker pool must not deadlock or drop connections when more
-// clients arrive than there are slots.
+// More concurrent clients than handler workers: requests queue for a
+// worker instead of being dropped, and nothing deadlocks.
 TEST(ConcurrentDispatchLimits, MoreClientsThanWorkerSlots) {
   World world;
   world.add_principal("file-server");
   server::FileServer file_server(world.end_server_config("file-server"));
 
-  net::TcpServer::Options options;
-  options.max_connections = 2;
-  net::TcpServer tcp(options);
-  tcp.attach("file-server", file_server);
-  ASSERT_TRUE(tcp.start().is_ok());
+  net::EventLoopServer::Options options;
+  options.workers = 2;
+  net::EventLoopServer loop(options);
+  loop.attach("file-server", file_server);
+  ASSERT_TRUE(loop.start().is_ok());
 
   constexpr int kRacers = 10;
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   threads.reserve(kRacers);
   for (int i = 0; i < kRacers; ++i) {
-    threads.emplace_back([&tcp, &failures] {
+    threads.emplace_back([&loop, &failures] {
       for (int t = 0; t < 5; ++t) {
         net::Envelope e;
         e.from = "bob";
         e.to = "file-server";
         e.type = net::MsgType::kPresentChallengeRequest;
-        auto reply = net::tcp_rpc("127.0.0.1", tcp.port(), e);
+        auto reply = testing::socket_rpc(loop.port(), e);
         if (!reply.is_ok()) failures.fetch_add(1);
       }
     });
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(tcp.requests_served(), 50u);
-  tcp.stop();
-  EXPECT_EQ(tcp.active_connections(), 0u);
+  EXPECT_EQ(loop.requests_served(), 50u);
+  loop.stop();
+  EXPECT_EQ(loop.active_connections(), 0u);
 }
 
 // Verified-chain cache under concurrency: two file servers behind one
@@ -396,10 +371,10 @@ TEST(ConcurrentVerifyCache, CacheOnOffDecisionParityUnderLoad) {
     fs->acl().add(authz::AclEntry{{"alice"}, {}, {}, {}});
   }
 
-  net::TcpServer tcp;
-  tcp.attach("fs-cached", cached);
-  tcp.attach("fs-plain", plain);
-  ASSERT_TRUE(tcp.start().is_ok());
+  net::EventLoopServer loop;
+  loop.attach("fs-cached", cached);
+  loop.attach("fs-plain", plain);
+  ASSERT_TRUE(loop.start().is_ok());
 
   const auto make_chain = [&](std::size_t depth) {
     core::Proxy proxy = core::grant_pk_proxy(
@@ -437,7 +412,7 @@ TEST(ConcurrentVerifyCache, CacheOnOffDecisionParityUnderLoad) {
     e.to = to;
     e.type = net::MsgType::kAppRequest;
     e.payload = wire::encode_to_bytes(req);
-    auto reply = net::tcp_rpc("127.0.0.1", tcp.port(), e);
+    auto reply = testing::socket_rpc(loop.port(), e);
     if (!reply.is_ok()) return reply.status().code();
     return net::status_of(reply.value()).code();
   };
@@ -474,7 +449,7 @@ TEST(ConcurrentVerifyCache, CacheOnOffDecisionParityUnderLoad) {
     });
   }
   for (std::thread& t : threads) t.join();
-  tcp.stop();
+  loop.stop();
 
   EXPECT_EQ(disagreements.load(), 0);
   EXPECT_EQ(accepted_pairs.load(), kThreads * kRounds * 2);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "kdc/authenticator.hpp"
 
 namespace rproxy::kdc {
@@ -130,6 +132,20 @@ TEST_F(ApRequestTest, StaleAuthenticatorRejected) {
   const ApRequest req = make_request(now - 10 * util::kMinute);
   EXPECT_EQ(verify_ap_request(req, server_key_, now, {}).code(),
             util::ErrorCode::kExpired);
+}
+
+TEST_F(ApRequestTest, ExtremeAuthenticatorTimestampsRejected) {
+  // The freshness check must bound the timestamp rather than compute
+  // |timestamp - now|, which overflows at either end of the range.
+  const util::TimePoint now = 150 * util::kSecond;
+  for (const util::TimePoint extreme :
+       {std::numeric_limits<util::TimePoint>::min(),
+        std::numeric_limits<util::TimePoint>::max()}) {
+    EXPECT_EQ(verify_ap_request(make_request(extreme), server_key_, now, {})
+                  .code(),
+              util::ErrorCode::kExpired)
+        << "timestamp " << extreme;
+  }
 }
 
 TEST_F(ApRequestTest, ClientMismatchRejected) {

@@ -1,17 +1,22 @@
 // FanoutClient: pipelined connections to several servers at once, where a
-// slow server must not stall replies that fast servers already produced
-// (the gap rpc_pipelined leaves — its collect loop blocks per connection).
+// slow server must not stall replies that fast servers already produced,
+// and where a peer sending an unusable reply frame costs only its own
+// connection.
 #include "net/fanout.hpp"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
 
+#include "net/event_loop.hpp"
 #include "net/rpc.hpp"
-#include "net/tcp_transport.hpp"
 
 namespace rproxy::net {
 namespace {
@@ -45,7 +50,7 @@ Envelope request_to(const std::string& server, std::uint8_t tag) {
 
 TEST(FanoutClient, CollectsFromSeveralServers) {
   EchoNode a, b;
-  TcpServer server_a, server_b;
+  EventLoopServer server_a, server_b;
   server_a.attach("a", a);
   server_b.attach("b", b);
   ASSERT_TRUE(server_a.start().is_ok());
@@ -82,11 +87,11 @@ TEST(FanoutClient, CollectsFromSeveralServers) {
 TEST(FanoutClient, SlowServerDoesNotStallFastReplies) {
   // The satellite's point: request 1 goes to a server that sleeps 300ms,
   // requests 2..4 to a fast server.  next() must hand back the fast
-  // replies while the slow one is still cooking — under rpc_pipelined
-  // semantics (collect in send order on one connection) they would wait.
+  // replies while the slow one is still cooking — a client collecting in
+  // send order across connections would make them wait.
   EchoNode slow(std::chrono::milliseconds(300));
   EchoNode fast;
-  TcpServer slow_server, fast_server;
+  EventLoopServer slow_server, fast_server;
   slow_server.attach("slow", slow);
   fast_server.attach("fast", fast);
   ASSERT_TRUE(slow_server.start().is_ok());
@@ -122,7 +127,7 @@ TEST(FanoutClient, TimeoutSurfacesWhenNoReplyArrives) {
   // A server that never answers within the window: next() must report
   // kTimeout, leaving the request in flight for a later next().
   EchoNode slow(std::chrono::milliseconds(500));
-  TcpServer server;
+  EventLoopServer server;
   server.attach("slow", slow);
   ASSERT_TRUE(server.start().is_ok());
 
@@ -146,7 +151,7 @@ TEST(FanoutClient, SendToUnknownKeyFails) {
 
 TEST(FanoutClient, PeerHangupWithRepliesOwedIsUnavailable) {
   EchoNode node;
-  auto server = std::make_unique<TcpServer>();
+  auto server = std::make_unique<EventLoopServer>();
   server->attach("a", node);
   ASSERT_TRUE(server->start().is_ok());
 
@@ -164,6 +169,87 @@ TEST(FanoutClient, PeerHangupWithRepliesOwedIsUnavailable) {
   }
   // Either the send already failed (connection reset) or next() reported
   // the hangup — both surface the dead peer instead of hanging.
+}
+
+/// A raw loopback listener that answers its first connection with a
+/// length prefix of 0xFFFFFFFF and then keeps trickling bytes until the
+/// client goes away (or two seconds pass): a peer whose reply can never
+/// be a valid frame, yet whose socket never stays quiet long enough for a
+/// poll timeout.
+class HostileReplier {
+ public:
+  HostileReplier() {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), len), 0);
+    EXPECT_EQ(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                            &len),
+              0);
+    port_ = ntohs(addr.sin_port);
+    EXPECT_EQ(::listen(listen_fd_, 1), 0);
+    thread_ = std::thread([this] { serve_(); });
+  }
+  ~HostileReplier() {
+    thread_.join();
+    ::close(listen_fd_);
+  }
+
+  [[nodiscard]] std::uint16_t port() const { return port_; }
+
+ private:
+  void serve_() {
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    if (fd < 0) return;
+    const std::uint8_t prefix[4] = {0xFF, 0xFF, 0xFF, 0xFF};
+    bool alive = ::send(fd, prefix, 4, MSG_NOSIGNAL) == 4;
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (alive && std::chrono::steady_clock::now() < until) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      const std::uint8_t byte = 0x42;
+      alive = ::send(fd, &byte, 1, MSG_NOSIGNAL) == 1;
+    }
+    ::close(fd);
+  }
+
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::thread thread_;
+};
+
+TEST(FanoutClient, OversizedReplyFrameClosesThatConnection) {
+  HostileReplier hostile;
+  EchoNode node;
+  EventLoopServer server;
+  server.attach("good", node);
+  ASSERT_TRUE(server.start().is_ok());
+
+  FanoutClient fanout;
+  ASSERT_TRUE(fanout.connect("hostile", "127.0.0.1", hostile.port()).is_ok());
+  ASSERT_TRUE(fanout.connect("good", "127.0.0.1", server.port()).is_ok());
+  ASSERT_TRUE(fanout.send("hostile", request_to("hostile", 1)).is_ok());
+
+  // The hostile peer never goes quiet for 500 ms, so only recognizing the
+  // prefix as unusable can end this call early.
+  const auto start = std::chrono::steady_clock::now();
+  auto completion = fanout.next(/*timeout_ms=*/500);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(completion.is_ok());
+  EXPECT_NE(completion.status().code(), util::ErrorCode::kTimeout);
+  EXPECT_NE(completion.status().message().find("hostile"), std::string::npos)
+      << completion.status();
+  EXPECT_LT(elapsed, std::chrono::milliseconds(1000));
+
+  // That connection is gone; the other one still works.
+  EXPECT_EQ(fanout.inflight(), 0u);
+  EXPECT_FALSE(fanout.send("hostile", request_to("hostile", 2)).is_ok());
+  ASSERT_TRUE(fanout.send("good", request_to("good", 3)).is_ok());
+  auto good = fanout.next(/*timeout_ms=*/5000);
+  ASSERT_TRUE(good.is_ok()) << good.status();
+  EXPECT_EQ(good.value().key, "good");
 }
 
 }  // namespace

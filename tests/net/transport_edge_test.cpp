@@ -1,10 +1,8 @@
-// Persistent-connection edge cases BOTH transports must survive the same
-// way: a client vanishing mid-frame, an oversized or garbage frame, a
-// slow-loris peer dribbling header bytes, and a pipelined burst with a
-// failing request in the middle.  The suite is value-parameterized over
-// the thread-pool TcpServer and the epoll EventLoopServer — the wire
-// contract (one frame per request, replies strictly in request order) is
-// transport-independent, so every expectation here runs against both.
+// Persistent-connection edge cases the event-loop server must survive: a
+// client vanishing mid-frame, an oversized or garbage frame, a slow-loris
+// peer dribbling header bytes, and a pipelined burst with a failing
+// request in the middle.  The wire contract under test is one frame per
+// request, replies strictly in request order.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -15,7 +13,7 @@
 #include <string>
 
 #include "net/event_loop.hpp"
-#include "net/tcp_transport.hpp"
+#include "testing/socket_rpc.hpp"
 
 namespace rproxy {
 namespace {
@@ -38,34 +36,22 @@ class EchoNode final : public net::Node {
 
 constexpr util::Duration kIdleTimeout = 150 * util::kMillisecond;
 
-class TransportEdge : public ::testing::TestWithParam<const char*> {
+class TransportEdge : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (std::string(GetParam()) == "pool") {
-      net::TcpServer::Options options;
-      // The pool's slow-peer guard is a per-socket receive timeout.
-      options.io_timeout = kIdleTimeout;
-      pool_ = std::make_unique<net::TcpServer>(options);
-      pool_->attach("echo", echo_);
-      const util::Status started = pool_->start();
-      ASSERT_TRUE(started.is_ok()) << started;
-      port_ = pool_->port();
-    } else {
-      net::EventLoopServer::Options options;
-      options.workers = 4;
-      options.idle_timeout = kIdleTimeout;
-      // Deliberately smaller than the bursts below so the backpressure
-      // pause/resume path is exercised, not just configured.
-      options.max_pipeline = 4;
-      loop_ = std::make_unique<net::EventLoopServer>(options);
-      loop_->attach("echo", echo_);
-      const util::Status started = loop_->start();
-      ASSERT_TRUE(started.is_ok()) << started;
-      port_ = loop_->port();
-    }
+    net::EventLoopServer::Options options;
+    options.workers = 4;
+    options.idle_timeout = kIdleTimeout;
+    // Deliberately smaller than the bursts below so the backpressure
+    // pause/resume path is exercised, not just configured.
+    options.max_pipeline = 4;
+    loop_ = std::make_unique<net::EventLoopServer>(options);
+    loop_->attach("echo", echo_);
+    const util::Status started = loop_->start();
+    ASSERT_TRUE(started.is_ok()) << started;
   }
 
-  [[nodiscard]] std::uint16_t port() const { return port_; }
+  [[nodiscard]] std::uint16_t port() const { return loop_->port(); }
 
   [[nodiscard]] net::Envelope request(const std::string& payload) const {
     net::Envelope e;
@@ -99,7 +85,7 @@ class TransportEdge : public ::testing::TestWithParam<const char*> {
               static_cast<ssize_t>(bytes.size()));
   }
 
-  /// Frames `body` with the u32 length prefix both servers expect.
+  /// Frames `body` with the u32 length prefix the server expects.
   [[nodiscard]] static util::Bytes frame(const util::Bytes& body) {
     const auto len = static_cast<std::uint32_t>(body.size());
     util::Bytes out;
@@ -142,20 +128,24 @@ class TransportEdge : public ::testing::TestWithParam<const char*> {
     return ::recv(fd, &byte, 1, 0) == 0;
   }
 
+  /// Sends `requests` pipelined on one fresh connection.
+  [[nodiscard]] util::Result<std::vector<net::Envelope>> burst(
+      const std::vector<net::Envelope>& requests) const {
+    net::FanoutClient client;
+    RPROXY_RETURN_IF_ERROR(client.connect("echo", "127.0.0.1", port()));
+    return testing::round_trips(client, "echo", requests);
+  }
+
   EchoNode echo_;
-  std::unique_ptr<net::TcpServer> pool_;
   std::unique_ptr<net::EventLoopServer> loop_;
-  std::uint16_t port_ = 0;
 };
 
-TEST_P(TransportEdge, PipelinedBurstRepliesArriveInOrder) {
-  net::TcpClient client;
-  ASSERT_TRUE(client.connect("127.0.0.1", port()).is_ok());
+TEST_F(TransportEdge, PipelinedBurstRepliesArriveInOrder) {
   std::vector<net::Envelope> requests;
   for (int i = 0; i < 20; ++i) {
     requests.push_back(request("payload-" + std::to_string(i)));
   }
-  auto replies = client.rpc_pipelined(requests);
+  auto replies = burst(requests);
   ASSERT_TRUE(replies.is_ok()) << replies.status();
   ASSERT_EQ(replies.value().size(), 20u);
   for (int i = 0; i < 20; ++i) {
@@ -167,14 +157,12 @@ TEST_P(TransportEdge, PipelinedBurstRepliesArriveInOrder) {
   }
 }
 
-TEST_P(TransportEdge, FailingMiddleRequestDoesNotDisturbLaterReplies) {
-  net::TcpClient client;
-  ASSERT_TRUE(client.connect("127.0.0.1", port()).is_ok());
+TEST_F(TransportEdge, FailingMiddleRequestDoesNotDisturbLaterReplies) {
   std::vector<net::Envelope> requests;
   for (int i = 0; i < 15; ++i) {
     requests.push_back(request(i == 7 ? "fail" : std::to_string(i)));
   }
-  auto replies = client.rpc_pipelined(requests);
+  auto replies = burst(requests);
   ASSERT_TRUE(replies.is_ok()) << replies.status();
   ASSERT_EQ(replies.value().size(), 15u);
   for (int i = 0; i < 15; ++i) {
@@ -190,7 +178,7 @@ TEST_P(TransportEdge, FailingMiddleRequestDoesNotDisturbLaterReplies) {
   }
 }
 
-TEST_P(TransportEdge, MidFrameDisconnectLeavesServerServing) {
+TEST_F(TransportEdge, MidFrameDisconnectLeavesServerServing) {
   const int fd = raw_connect(port());
   // Header promising 100 bytes, then 10, then gone.
   util::Bytes partial = frame(util::Bytes(100, 0x42));
@@ -199,14 +187,12 @@ TEST_P(TransportEdge, MidFrameDisconnectLeavesServerServing) {
   ::close(fd);
 
   // The abandoned stub must not wedge, crash, or poison the server.
-  net::TcpClient client;
-  ASSERT_TRUE(client.connect("127.0.0.1", port()).is_ok());
-  auto reply = client.rpc(request("still alive?"));
+  auto reply = testing::socket_rpc(port(), request("still alive?"));
   ASSERT_TRUE(reply.is_ok()) << reply.status();
   EXPECT_EQ(util::to_string(reply.value().payload), "still alive?");
 }
 
-TEST_P(TransportEdge, OversizedFrameClosesTheConnection) {
+TEST_F(TransportEdge, OversizedFrameClosesTheConnection) {
   const int fd = raw_connect(port());
   // A length prefix past kMaxFrameBytes cannot be resynchronized — the
   // only safe answer is to drop the connection (and certainly not to
@@ -222,20 +208,16 @@ TEST_P(TransportEdge, OversizedFrameClosesTheConnection) {
   ::close(fd);
 
   // Other connections are unaffected.
-  net::TcpClient client;
-  ASSERT_TRUE(client.connect("127.0.0.1", port()).is_ok());
-  EXPECT_TRUE(client.rpc(request("ok")).is_ok());
+  EXPECT_TRUE(testing::socket_rpc(port(), request("ok")).is_ok());
 }
 
-TEST_P(TransportEdge, GarbageFrameAnswersInSlotAndKeepsStreamAlive) {
+TEST_F(TransportEdge, GarbageFrameAnswersInSlotAndKeepsStreamAlive) {
   // A frame that is well-delimited but does not decode as an envelope:
   // the stream itself is intact, so the server answers kParseError in
   // the frame's slot and keeps serving the connection.
   const int fd = raw_connect(port());
   raw_send(fd, frame(util::Bytes{0xde, 0xad, 0xbe, 0xef}));
-  wire::Encoder enc;
-  net::encode_envelope(enc, request("after the garbage"));
-  raw_send(fd, frame(util::Bytes(enc.view().begin(), enc.view().end())));
+  raw_send(fd, net::encode_frame(request("after the garbage")));
 
   const util::Bytes first_frame = raw_read_frame(fd);
   wire::Decoder first(first_frame);
@@ -252,7 +234,7 @@ TEST_P(TransportEdge, GarbageFrameAnswersInSlotAndKeepsStreamAlive) {
   ::close(fd);
 }
 
-TEST_P(TransportEdge, SlowLorisPartialHeaderIsClosedByTheIdleGuard) {
+TEST_F(TransportEdge, SlowLorisPartialHeaderIsClosedByTheIdleGuard) {
   const int fd = raw_connect(port());
   // Two header bytes, then silence: never enough to parse a frame, so
   // nothing is ever in flight — exactly the state the idle guard exists
@@ -261,16 +243,8 @@ TEST_P(TransportEdge, SlowLorisPartialHeaderIsClosedByTheIdleGuard) {
   raw_send(fd, util::Bytes{0x00, 0x00});
   EXPECT_TRUE(server_closed(fd));
   ::close(fd);
-  if (loop_) {
-    EXPECT_GE(loop_->idle_closed(), 1u);
-  }
+  EXPECT_GE(loop_->idle_closed(), 1u);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothTransports, TransportEdge,
-                         ::testing::Values("pool", "loop"),
-                         [](const auto& info) {
-                           return std::string(info.param);
-                         });
 
 }  // namespace
 }  // namespace rproxy
